@@ -8,87 +8,24 @@ factors) routes individuals toward the task they are best at and lets
 knowledge transfer between related tasks.
 """
 
-from .engine import RunRecord, TracePoint, run_mfltga
-from .errors import ConfigurationError, InstanceFormatError, InvalidStateError
-from .harness import (
-    ExperimentConfig,
-    ExperimentResult,
-    SummaryRow,
-    SummaryTable,
-    mt_trace_rows,
-    performance_improvement,
-    run_experiment,
-    run_mt,
-    run_st,
-    st_serial_trace_rows,
-    summarize,
-)
-from .linkage import (
-    LinkageTree,
-    TaskPopulation,
-    build_all_trees,
-    build_tree,
-    pairwise_distance,
-    proximity_matrix,
-)
-from .mfo import (
-    EvalLedger,
-    Individual,
-    Population,
-    TaskDefinition,
-    assign_ranks_and_skill,
-    initialize_population,
-    select_fittest,
-)
-from .oracle import OracleResult, exhaustive_cluspt, exhaustive_dtf, reference_trap_cost
-from .variation import (
-    MatingOutcome,
-    PunishmentState,
-    assortative_mating,
-    mutate,
-    tree_crossover,
-)
+from .engine import RunRecord, run_mfltga
+from .errors import ConfigurationError, InstanceFormatError
+from .harness import ExperimentConfig, run_experiment, run_mt, run_st, summarize
+from .oracle import exhaustive_cluspt, exhaustive_dtf, reference_trap_cost
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationError",
-    "EvalLedger",
     "ExperimentConfig",
-    "ExperimentResult",
-    "Individual",
     "InstanceFormatError",
-    "InvalidStateError",
-    "LinkageTree",
-    "MatingOutcome",
-    "OracleResult",
-    "Population",
-    "PunishmentState",
     "RunRecord",
-    "SummaryRow",
-    "SummaryTable",
-    "TaskDefinition",
-    "TaskPopulation",
-    "TracePoint",
-    "assign_ranks_and_skill",
-    "assortative_mating",
-    "build_all_trees",
-    "build_tree",
     "exhaustive_cluspt",
     "exhaustive_dtf",
-    "initialize_population",
-    "mt_trace_rows",
-    "mutate",
-    "pairwise_distance",
-    "performance_improvement",
-    "proximity_matrix",
     "reference_trap_cost",
     "run_experiment",
     "run_mfltga",
     "run_mt",
     "run_st",
-    "select_fittest",
-    "st_serial_trace_rows",
     "summarize",
-    "tree_crossover",
 ]

@@ -45,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=42)
     run.add_argument("--max-p", type=int, default=10, help="no-improvement restart threshold")
     run.add_argument("--mutation", type=float, default=0.05, help="per-gene mutation rate")
-    run.add_argument("--rmp", type=float, default=0.5, help="accepted but unused")
     run.add_argument("--trace-every", type=int, default=1)
     run.add_argument("--out", default=None, help="output directory for csv/json emission")
 
@@ -65,7 +64,6 @@ def _cmd_run(args) -> int:
         seed=args.seed,
         max_p=args.max_p,
         mutation_rate=args.mutation,
-        rmp=args.rmp,
         trace_every=args.trace_every,
         out_path=args.out,
     )

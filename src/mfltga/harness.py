@@ -20,7 +20,7 @@ import dataclasses
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .engine import RunRecord, run_mfltga
@@ -39,7 +39,6 @@ class ExperimentConfig:
     seed: int = 42
     max_p: int = 10
     mutation_rate: float = 0.05
-    rmp: float = 0.5  # accepted for config compatibility; the mating flow never reads it
     trace_every: int = 1
     out_path: Optional[str] = None
 
@@ -64,30 +63,12 @@ class ExperimentConfig:
             raise ConfigurationError("max_p must be >= 0")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ConfigurationError("mutation rate must lie in [0, 1]")
-        if not 0.0 <= self.rmp <= 1.0:
-            raise ConfigurationError("rmp must lie in [0, 1]")
         if self.trace_every < 1:
             raise ConfigurationError("trace_every must be >= 1")
         return self
 
     def run_seed(self, run_index: int) -> int:
         return self.seed ^ run_index
-
-    def to_dict(self) -> dict:
-        return {
-            "problems": list(self.problems),
-            "mode": self.mode,
-            "num_tasks": self.num_tasks,
-            "pop_size": self.pop_size,
-            "max_evals": self.max_evals,
-            "runs": self.runs,
-            "seed": self.seed,
-            "max_p": self.max_p,
-            "mutation_rate": self.mutation_rate,
-            "rmp": self.rmp,
-            "trace_every": self.trace_every,
-            "out_path": self.out_path,
-        }
 
 
 def parse_problem_descriptor(text: str):
@@ -143,32 +124,8 @@ def resolve_tasks(config: ExperimentConfig):
     return tasks, labels
 
 
-def run_st(config: ExperimentConfig):
-    """Independent single-task runs: {task_id: [RunRecord per run]}."""
-    config.validate()
-    tasks, _ = resolve_tasks(config)
-    records = {}
-    for task in tasks:
-        solo = dataclasses.replace(task, task_id=1)
-        records[task.task_id] = [
-            run_mfltga(
-                [solo],
-                pop_size=config.pop_size,
-                max_evals=config.max_evals,
-                seed=config.run_seed(r),
-                max_p=config.max_p,
-                mutation_rate=config.mutation_rate,
-                trace_every=config.trace_every,
-            )
-            for r in range(config.runs)
-        ]
-    return records
-
-
-def run_mt(config: ExperimentConfig):
-    """Shared-population multitask runs: [RunRecord per run]."""
-    config.validate()
-    tasks, _ = resolve_tasks(config)
+def _runs(config: ExperimentConfig, tasks) -> list:
+    """One run_mfltga call per run index r, seeded with config.run_seed(r)."""
     return [
         run_mfltga(
             tasks,
@@ -181,6 +138,16 @@ def run_mt(config: ExperimentConfig):
         )
         for r in range(config.runs)
     ]
+
+
+def run_st(config: ExperimentConfig):
+    """Independent single-task runs: {task_id: [RunRecord per run]}."""
+    return run_experiment(dataclasses.replace(config, mode="st", out_path=None)).st_records
+
+
+def run_mt(config: ExperimentConfig):
+    """Shared-population multitask runs: [RunRecord per run]."""
+    return run_experiment(dataclasses.replace(config, mode="mt", out_path=None)).mt_records
 
 
 def performance_improvement(cost_a: float, cost_b: float) -> float:
@@ -253,36 +220,34 @@ def summarize(result: ExperimentResult) -> SummaryTable:
     return SummaryTable(rows=rows)
 
 
-def best_at(record: RunRecord, task_pos: int, generation: int) -> float:
-    """Best-so-far cost of one task at a generation (trace carry-forward)."""
-    value = record.trace[0].best[task_pos]
-    for point in record.trace:
-        if point.generation > generation:
-            break
-        value = point.best[task_pos]
-    return value
+def carried_trace(record: RunRecord) -> list:
+    """The trace point in force at each generation 0..record.generations.
+
+    Generations the trace did not sample carry the last sampled point forward.
+    """
+    points = record.trace
+    carried = []
+    i = 0
+    for gen in range(record.generations + 1):
+        while i + 1 < len(points) and points[i + 1].generation <= gen:
+            i += 1
+        carried.append(points[i])
+    return carried
 
 
-def normalized_objective(
-    record: RunRecord, task_pos: int, generation: int, bf_star: float
-) -> float:
-    """Best cost rescaled to [0, 1] between the run's initial best and bf_star."""
-    init = record.trace[0].best[task_pos]
-    value = best_at(record, task_pos, generation)
+def _normalized(init: float, value: float, bf_star: float) -> float:
     span = init - bf_star
     if span <= 0:
         return 0.0
     return min(1.0, max(0.0, (value - bf_star) / span))
 
 
-def averaged_normalized_objective(
-    record: RunRecord, generation: int, bf_stars: Sequence[float]
+def normalized_objective(
+    record: RunRecord, task_pos: int, generation: int, bf_star: float
 ) -> float:
-    scores = [
-        normalized_objective(record, pos, generation, bf_stars[pos])
-        for pos in range(len(record.task_ids))
-    ]
-    return sum(scores) / len(scores)
+    """Best cost rescaled to [0, 1] between the run's initial best and bf_star."""
+    point = carried_trace(record)[min(generation, record.generations)]
+    return _normalized(record.trace[0].best[task_pos], point.best[task_pos], bf_star)
 
 
 def _bf_stars(result: ExperimentResult, num_tasks: int):
@@ -299,25 +264,13 @@ def _bf_stars(result: ExperimentResult, num_tasks: int):
     return stars
 
 
-def _evals_at(record: RunRecord, generation: int) -> int:
-    value = record.trace[0].evals
-    for point in record.trace:
-        if point.generation > generation:
-            break
-        value = point.evals
-    return value
-
-
 def mt_trace_rows(record: RunRecord, stars):
     """Per-generation rows [gen, evals, best..., f_norm..., f_norm_avg] of one run."""
-    num_tasks = len(record.task_ids)
+    init = record.trace[0].best
     rows = []
-    for gen in range(record.generations + 1):
-        bests = [best_at(record, pos, gen) for pos in range(num_tasks)]
-        norms = [
-            normalized_objective(record, pos, gen, stars[pos]) for pos in range(num_tasks)
-        ]
-        rows.append([gen, _evals_at(record, gen)] + bests + norms + [sum(norms) / len(norms)])
+    for gen, point in enumerate(carried_trace(record)):
+        norms = [_normalized(init[pos], value, stars[pos]) for pos, value in enumerate(point.best)]
+        rows.append([gen, point.evals] + list(point.best) + norms + [sum(norms) / len(norms)])
     return rows
 
 
@@ -331,6 +284,7 @@ def st_serial_trace_rows(records: Sequence[RunRecord], stars):
     values stay frozen.
     """
     lengths = [rec.generations for rec in records]
+    carried = [carried_trace(rec) for rec in records]
     offsets = []
     acc = 0
     for length in lengths:
@@ -348,10 +302,10 @@ def st_serial_trace_rows(records: Sequence[RunRecord], stars):
                 bests.append(None)
                 norms.append(1.0)
             else:
-                local = min(local, lengths[pos])
-                bests.append(best_at(rec, 0, local))
-                norms.append(normalized_objective(rec, 0, local, stars[pos]))
-                evals += _evals_at(rec, local)
+                point = carried[pos][min(local, lengths[pos])]
+                bests.append(point.best[0])
+                norms.append(_normalized(rec.trace[0].best[0], point.best[0], stars[pos]))
+                evals += point.evals
         rows.append([gen, evals] + bests + norms + [sum(norms) / len(norms)])
     return rows
 
@@ -436,11 +390,10 @@ def write_outputs(result: ExperimentResult) -> None:
                     + ["" if x is None else repr(x) for x in row[2 : 2 + num_tasks]]
                     + [repr(x) for x in row[2 + num_tasks :]]
                 )
-    payload = result.config.to_dict()
+    payload = dataclasses.asdict(result.config)
     payload["instances"] = list(result.labels)
     payload["run_seeds"] = [result.config.run_seed(r) for r in range(result.config.runs)]
     payload["seed_policy"] = "run r uses seed = base_seed XOR r"
-    payload["notes"] = "rmp is accepted for compatibility but unused by the mating flow"
     with open(os.path.join(out, "config.json"), "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
@@ -449,11 +402,14 @@ def write_outputs(result: ExperimentResult) -> None:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the configured mode over all runs and emit outputs if requested."""
     config.validate()
-    _, labels = resolve_tasks(config)
+    tasks, labels = resolve_tasks(config)
     result = ExperimentResult(config=config, labels=labels)
     if config.mode == "st":
-        result.st_records = run_st(config)
+        result.st_records = {
+            task.task_id: _runs(config, [dataclasses.replace(task, task_id=1)])
+            for task in tasks
+        }
     else:
-        result.mt_records = run_mt(config)
+        result.mt_records = _runs(config, tasks)
     write_outputs(result)
     return result

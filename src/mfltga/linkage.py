@@ -12,20 +12,12 @@ running distances maintained with the Lance-Williams update.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidStateError
 from .mfo import Population, TaskDefinition
-
-
-@dataclass
-class TaskPopulation:
-    """Rows of task-space gene vectors used to fit one task's tree."""
-
-    task_id: int
-    rows: list
 
 
 @dataclass
@@ -140,24 +132,26 @@ def proximity_matrix(rows) -> np.ndarray:
     return dist
 
 
-def build_tree(task_pop: TaskPopulation) -> LinkageTree:
+def build_tree(task_id: int, rows) -> LinkageTree:
     """Agglomerate gene clusters for one task into a linkage tree.
 
+    rows are the task-space gene vectors of the individuals the tree is fitted
+    on.
     Merge order: repeatedly join the pair of active clusters at minimum
     average-linkage distance; among equal minima the pair with the
     lexicographically smallest (min cluster id, max cluster id) wins.  A tree
     over L genes always holds exactly 2L-1 nodes.
     """
-    if not task_pop.rows:
+    if not rows:
         raise InvalidStateError("cannot build a linkage tree from an empty population")
-    base = proximity_matrix(task_pop.rows)
+    base = proximity_matrix(rows)
     n_genes = base.shape[0]
     total = 2 * n_genes - 1
     clusters = [(g,) for g in range(n_genes)]
     children = [None] * n_genes
     merge_distance = [None] * n_genes
     if n_genes == 1:
-        return LinkageTree(task_pop.task_id, clusters, children, merge_distance)
+        return LinkageTree(task_id, clusters, children, merge_distance)
 
     dist = np.full((total, total), np.inf)
     dist[:n_genes, :n_genes] = base
@@ -190,7 +184,7 @@ def build_tree(task_pop: TaskPopulation) -> LinkageTree:
             dist[r, new_id] = updated
         active = rest + [new_id]
 
-    return LinkageTree(task_pop.task_id, clusters, children, merge_distance)
+    return LinkageTree(task_id, clusters, children, merge_distance)
 
 
 def build_all_trees(pop: Population, tasks: Sequence[TaskDefinition]):
@@ -208,5 +202,5 @@ def build_all_trees(pop: Population, tasks: Sequence[TaskDefinition]):
         ]
         if not rows:
             rows = [ind.genotype[: task.dimension] for ind in pop.members]
-        trees.append(build_tree(TaskPopulation(task.task_id, rows)))
+        trees.append(build_tree(task.task_id, rows))
     return trees

@@ -68,9 +68,6 @@ class Individual:
             punish=self.punish,
         )
 
-    def cost_on(self, task_id: int):
-        return self.factorial_costs[task_id - 1]
-
 
 class EvalLedger:
     """Central account of objective calls for one run.
@@ -79,7 +76,8 @@ class EvalLedger:
     a per-task tick so each task's own evaluation effort is comparable across
     single-task and multitask runs.  Also records the best cost seen per task
     and the task's call count at the first evaluation that reached its known
-    optimum.
+    optimum.  A non-finite cost is a broken objective and raises
+    ConfigurationError.
     """
 
     def __init__(self, tasks: Sequence[TaskDefinition]):
@@ -93,6 +91,8 @@ class EvalLedger:
         idx = task_id - 1
         task = self.tasks[idx]
         cost = float(task.objective(ind.genotype[: task.dimension]))
+        if not math.isfinite(cost):
+            raise ConfigurationError(f"task {task_id}: objective returned non-finite cost {cost}")
         self.count += 1
         self.task_counts[idx] += 1
         if cost < self.best[idx]:
@@ -117,14 +117,6 @@ class EvalLedger:
 class Population:
     members: list
     ledger: EvalLedger
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def eval_counter(self) -> int:
-        return self.ledger.count
 
     @property
     def tasks(self):
@@ -204,7 +196,7 @@ def assign_ranks_and_skill(pop: Population) -> Population:
     return pop
 
 
-def select_fittest(current: Population, intermediate, n: int) -> Population:
+def select_fittest(current: Population, intermediate: Population, n: int) -> Population:
     """Survivor selection over the union of current and intermediate pools.
 
     The union is by object identity, so parents that re-enter through the
@@ -213,10 +205,9 @@ def select_fittest(current: Population, intermediate, n: int) -> Population:
     broken by the lower factorial cost on the individual's skill task, then
     by pool order (current first).
     """
-    inter_members = intermediate.members if isinstance(intermediate, Population) else list(intermediate)
     pool = []
     seen = set()
-    for ind in list(current.members) + inter_members:
+    for ind in current.members + intermediate.members:
         if id(ind) not in seen:
             seen.add(id(ind))
             pool.append(ind)

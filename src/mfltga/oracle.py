@@ -69,7 +69,7 @@ def exhaustive_dtf(spec: TrapSpec) -> OracleResult:
     best_value = int(value.max())
     count = int((value == best_value).sum())
     return OracleResult(
-        optimum_cost=float(spec.max_value - best_value),
+        optimum_cost=float(spec.length - best_value),
         optimum_count=count,
         enumerated=2 ** length,
     )

@@ -176,6 +176,8 @@ def parse_instance(text: str) -> ClusteredGraph:
                 x, y = float(parts[1]), float(parts[2])
             except ValueError:
                 raise InstanceFormatError(f"bad coordinate line {line!r}", lineno)
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise InstanceFormatError(f"non-finite coordinate in {line!r}", lineno)
             if not 1 <= vid <= n:
                 raise InstanceFormatError(f"vertex {vid} outside 1..{n}", lineno)
             if coords[vid - 1] is not None:
@@ -184,13 +186,16 @@ def parse_instance(text: str) -> ClusteredGraph:
         missing = [v + 1 for v in range(n) if coords[v] is None]
         if missing:
             raise InstanceFormatError(f"missing coordinates for vertices {missing}")
-        for u in range(n):
-            for v in range(u + 1, n):
-                dx = coords[u][0] - coords[v][0]
-                dy = coords[u][1] - coords[v][1]
-                w = _nint(math.hypot(dx, dy))
-                adjacency[u][v] = w
-                adjacency[v][u] = w
+        try:
+            for u in range(n):
+                for v in range(u + 1, n):
+                    dx = coords[u][0] - coords[v][0]
+                    dy = coords[u][1] - coords[v][1]
+                    w = _nint(math.hypot(dx, dy))
+                    adjacency[u][v] = w
+                    adjacency[v][u] = w
+        except OverflowError:
+            raise InstanceFormatError(f"distance between vertices {u + 1} and {v + 1} overflows")
     else:
         if not edge_lines:
             raise InstanceFormatError("EXPLICIT instance without EDGE_SECTION")
@@ -203,6 +208,8 @@ def parse_instance(text: str) -> ClusteredGraph:
                 w = float(parts[2])
             except ValueError:
                 raise InstanceFormatError(f"bad edge line {line!r}", lineno)
+            if not math.isfinite(w):
+                raise InstanceFormatError(f"non-finite weight {parts[2]!r}", lineno)
             if not (1 <= u <= n and 1 <= v <= n):
                 raise InstanceFormatError(f"edge endpoint outside 1..{n}", lineno)
             if u == v:
@@ -394,11 +401,6 @@ def decode(g: ClusteredGraph, genotype) -> TreeSolution:
     if len(seen) != g.n:
         raise InvalidStateError("decoded edge set does not span the graph")
     return TreeSolution(parent=parent, dist=dist, objective=float(sum(dist)))
-
-
-def objective(sol: TreeSolution) -> float:
-    """Sum of tree distances from the source over all vertices."""
-    return float(sum(sol.dist))
 
 
 def recompute_objective(g: ClusteredGraph, parent) -> float:

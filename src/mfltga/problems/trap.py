@@ -29,10 +29,6 @@ class TrapSpec:
     def length(self) -> int:
         return self.block_size * self.num_blocks
 
-    @property
-    def max_value(self) -> int:
-        return self.block_size * self.num_blocks
-
 
 def trap_block(bits) -> int:
     """Score of one k-bit block: k when all ones, else k - 1 - (ones count)."""
@@ -58,8 +54,8 @@ def trap_value(spec: TrapSpec, bits) -> int:
 
 
 def evaluate(spec: TrapSpec, bits) -> int:
-    """Engine-facing minimization cost: max_value - value, 0 at the optimum."""
-    return spec.max_value - trap_value(spec, bits)
+    """Engine-facing minimization cost: length - value, 0 at the optimum."""
+    return spec.length - trap_value(spec, bits)
 
 
 def make_task(spec: TrapSpec, task_id: int = 1) -> TaskDefinition:

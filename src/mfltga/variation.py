@@ -27,14 +27,6 @@ from .mfo import (
 
 
 @dataclass
-class PunishmentState:
-    """No-improvement counter for one mating pair."""
-
-    n_p: int
-    max_p: int
-
-
-@dataclass
 class MatingOutcome:
     """Offspring (best of each pair) plus the unselected mixed-pair parents."""
 
@@ -58,7 +50,7 @@ def tree_crossover(
     parent_j: Individual,
     tree: LinkageTree,
     task: TaskDefinition,
-    state: PunishmentState,
+    max_p: int,
     rng,
     ledger: EvalLedger,
 ):
@@ -67,8 +59,9 @@ def tree_crossover(
     Every visited mask produces two candidates (both evaluated on the task);
     the candidate pair replaces the working pair only when one candidate is
     strictly better than both current working parents.  If the whole
-    traversal brings no replacement the pair counter grows, and past max_p
-    the pair restarts from two fresh random individuals.
+    traversal brings no replacement the pair's counter (the larger of the
+    parents' punish values) grows, and past max_p the pair restarts from two
+    fresh random individuals.  Both offspring carry the resulting counter.
     """
     tid = task.task_id
     off_i = parent_i.working_copy()
@@ -91,14 +84,14 @@ def tree_crossover(
             off_i, off_j = cand_i, cand_j
             improved = True
     if improved:
-        state.n_p = 0
+        n_p = 0
     else:
-        state.n_p += 1
-        if state.n_p > state.max_p:
+        n_p = max(parent_i.punish, parent_j.punish) + 1
+        if n_p > max_p:
             off_i = _fresh_individual(ledger, tid, rng)
             off_j = _fresh_individual(ledger, tid, rng)
-            state.n_p = 0
-    off_i.punish = off_j.punish = state.n_p
+            n_p = 0
+    off_i.punish = off_j.punish = n_p
     return off_i, off_j
 
 
@@ -159,8 +152,7 @@ def assortative_mating(
         tree = by_task.get(selected)
         if tree is None:
             raise InvalidStateError(f"no linkage tree supplied for task {selected}")
-        state = PunishmentState(n_p=max(pa.punish, pb.punish), max_p=max_p)
-        off_i, off_j = tree_crossover(pa, pb, tree, task_by_id[selected], state, rng, pop.ledger)
+        off_i, off_j = tree_crossover(pa, pb, tree, task_by_id[selected], max_p, rng, pop.ledger)
         if mutation_rate > 0.0:
             for off in (off_i, off_j):
                 mutate(off, mutation_rate, rng, alphabet)

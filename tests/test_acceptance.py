@@ -16,25 +16,18 @@ import time
 import pytest
 
 from mfltga import (
-    EvalLedger,
     ExperimentConfig,
-    Individual,
-    PunishmentState,
-    TaskDefinition,
-    TaskPopulation,
-    build_tree,
     exhaustive_cluspt,
     exhaustive_dtf,
-    initialize_population,
-    mt_trace_rows,
-    performance_improvement,
     reference_trap_cost,
     run_mfltga,
     run_mt,
     run_st,
-    st_serial_trace_rows,
-    tree_crossover,
 )
+from mfltga.harness import mt_trace_rows, performance_improvement, st_serial_trace_rows
+from mfltga.linkage import build_tree
+from mfltga.mfo import EvalLedger, Individual, TaskDefinition, initialize_population
+from mfltga.variation import tree_crossover
 from mfltga.problems import cluspt, trap
 
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
@@ -214,7 +207,7 @@ def test_a6_decoder_validity():
             sol = cluspt.decode(g, genotype)
             if cluspt.validate(g, sol):
                 violations += 1
-            if cluspt.objective(sol) != cluspt.recompute_objective(g, sol.parent):
+            if sol.objective != cluspt.recompute_objective(g, sol.parent):
                 mismatches += 1
             total += 1
     ok = violations == 0 and mismatches == 0
@@ -263,7 +256,7 @@ def test_a8_structural_invariants():
     rng = random.Random(3)
     for length, alphabet in ((4, 2), (7, 3), (12, 2)):
         rows = [[rng.randrange(alphabet) for _ in range(length)] for _ in range(24)]
-        tree = build_tree(TaskPopulation(task_id=1, rows=rows))
+        tree = build_tree(1, rows)
         if len(tree.clusters) != 2 * length - 1:
             failures.append("tree size")
         if sorted(tree.clusters[tree.root]) != list(range(length)):
@@ -289,10 +282,10 @@ def test_a8_structural_invariants():
             for _ in range(2)
         ]
         rows = [[rng.randrange(4) for _ in range(10)] for _ in range(16)]
-        tree = build_tree(TaskPopulation(task_id=1, rows=rows))
+        tree = build_tree(1, rows)
         before = [sorted((pair[0].genotype[g], pair[1].genotype[g])) for g in range(10)]
         off_i, off_j = tree_crossover(
-            pair[0], pair[1], tree, task, PunishmentState(0, 10**9), rng, ledger
+            pair[0], pair[1], tree, task, 10**9, rng, ledger
         )
         after = [sorted((off_i.genotype[g], off_j.genotype[g])) for g in range(10)]
         if before != after:

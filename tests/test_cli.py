@@ -90,3 +90,10 @@ def test_bad_instance_file_exits_with_error(tmp_path, capsys):
     bad.write_text("DIMENSION: 2\nCLUSTERS: 1\nSOURCE: 1\n")
     assert main(["oracle", "--problem", f"cluspt:{bad}"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_finite_instance_number_exits_with_error(tmp_path, capsys):
+    bad = tmp_path / "nan.cluspt"
+    bad.write_text((INSTANCES / "euc5.cluspt").read_text().replace("\n2 3 4\n", "\n2 nan 4\n"))
+    assert main(["oracle", "--problem", f"cluspt:{bad}"]) == 2
+    assert "line 8: non-finite coordinate" in capsys.readouterr().err

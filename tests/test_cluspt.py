@@ -85,6 +85,39 @@ def test_parse_errors(mutation, fragment):
         cluspt.parse_instance(build(**mutation))
 
 
+def euc_text(coord_lines):
+    """A two-vertex EUC_2D instance; coordinate lines start at line 7."""
+    lines = [
+        "NAME: e",
+        "DIMENSION: 2",
+        "CLUSTERS: 1",
+        "SOURCE: 1",
+        "EDGE_WEIGHT_TYPE: EUC_2D",
+        "NODE_COORD_SECTION",
+        *coord_lines,
+        "CLUSTER_SECTION",
+        "1 1 2 -1",
+        "EOF",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_rejects_non_finite_numbers(value):
+    text = build(edges=["1 2 1", f"2 3 {value}", "3 4 1"])
+    with pytest.raises(InstanceFormatError, match="line 8: non-finite weight"):
+        cluspt.parse_instance(text)
+    text = euc_text(["1 0 0", f"2 3 {value}"])
+    with pytest.raises(InstanceFormatError, match="line 8: non-finite coordinate"):
+        cluspt.parse_instance(text)
+
+
+def test_parse_rejects_overflowing_distance():
+    text = euc_text(["1 1e308 0", "2 -1e308 0"])
+    with pytest.raises(InstanceFormatError, match="vertices 1 and 2 overflows"):
+        cluspt.parse_instance(text)
+
+
 def test_parse_error_reports_line_number():
     text = build(edges=["1 2 1", "1 2 2", "3 4 1"])
     with pytest.raises(InstanceFormatError, match="line 8"):
@@ -150,7 +183,7 @@ def test_decode_output_is_valid_and_objective_recomputes():
             genotype = [rng.randrange(g.n) for _ in range(g.n)]
             sol = cluspt.decode(g, genotype)
             assert cluspt.validate(g, sol) == []
-            assert sol.objective == cluspt.objective(sol)
+            assert sol.objective == float(sum(sol.dist))
             assert sol.objective == cluspt.recompute_objective(g, sol.parent)
             assert sol.dist[g.source] == 0.0
             assert sol.parent[g.source] is None

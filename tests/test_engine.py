@@ -1,4 +1,9 @@
+import math
+
+import pytest
+
 from mfltga.engine import run_mfltga
+from mfltga.errors import ConfigurationError
 from mfltga.mfo import TaskDefinition
 from mfltga.problems import trap
 
@@ -91,3 +96,9 @@ def test_trace_every_samples_sparsely_but_keeps_the_final_point():
     assert gens[-1] == record.generations
     for g in gens[:-1]:
         assert g % 3 == 0
+
+
+def test_non_finite_objective_aborts_the_run():
+    task = TaskDefinition(task_id=1, dimension=4, alphabet_size=2, objective=lambda genes: math.nan)
+    with pytest.raises(ConfigurationError, match="task 1: objective returned non-finite cost nan"):
+        run_mfltga([task], pop_size=4, max_evals=100, seed=1)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -11,7 +12,7 @@ from mfltga.harness import (
     ExperimentResult,
     SummaryRow,
     SummaryTable,
-    best_at,
+    carried_trace,
     mt_trace_rows,
     normalized_objective,
     parse_problem_descriptor,
@@ -53,7 +54,6 @@ def test_config_validation():
         dict(problems=["dtf:k=3,m=5"], max_evals=-1),
         dict(problems=["dtf:k=3,m=5"], runs=0),
         dict(problems=["dtf:k=3,m=5"], mutation_rate=1.5),
-        dict(problems=["dtf:k=3,m=5"], rmp=-0.1),
         dict(problems=["dtf:k=3,m=5"], trace_every=0),
     ]
     for kwargs in cases:
@@ -115,13 +115,13 @@ def test_performance_improvement_arithmetic():
         performance_improvement(1.0, 0.0)
 
 
-def test_best_at_carries_forward():
+def test_carried_trace_carries_forward():
     rec = record([(0, 10, (10.0,)), (1, 30, (6.0,)), (3, 70, (2.0,))])
-    assert best_at(rec, 0, 0) == 10.0
-    assert best_at(rec, 0, 1) == 6.0
-    assert best_at(rec, 0, 2) == 6.0
-    assert best_at(rec, 0, 3) == 2.0
-    assert best_at(rec, 0, 99) == 2.0
+    carried = carried_trace(rec)
+    assert [p.best[0] for p in carried] == [10.0, 6.0, 6.0, 2.0]
+    assert [p.evals for p in carried] == [10, 30, 30, 70]
+    # past the last generation the final point holds
+    assert normalized_objective(rec, 0, 99, 2.0) == 0.0
 
 
 def test_normalized_objective_scales_and_clamps():
@@ -259,6 +259,8 @@ def test_run_experiment_emits_outputs(tmp_path):
     assert payload["mode"] == "st"
     assert payload["instances"] == ["dtf:k=1,m=2", "dtf:k=1,m=2"]
     assert "seed_policy" in payload
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert list(payload) == fields + ["instances", "run_seeds", "seed_policy"]
 
 
 def test_run_experiment_mt_smoke(tmp_path):

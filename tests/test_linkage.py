@@ -5,7 +5,6 @@ import pytest
 
 from mfltga.errors import InvalidStateError
 from mfltga.linkage import (
-    TaskPopulation,
     build_all_trees,
     build_tree,
     pairwise_distance,
@@ -102,14 +101,14 @@ def test_build_tree_structure_on_random_populations():
     rng = random.Random(13)
     for n_genes in (1, 2, 5, 9):
         rows = [[rng.randrange(2) for _ in range(n_genes)] for _ in range(16)]
-        tree = build_tree(TaskPopulation(1, rows))
+        tree = build_tree(1, rows)
         assert tree.task_id == 1
         tree_is_well_formed(tree)
 
 
 def test_build_tree_rejects_empty_population():
     with pytest.raises(InvalidStateError):
-        build_tree(TaskPopulation(1, []))
+        build_tree(1, [])
 
 
 def test_merge_distances_never_invert():
@@ -117,7 +116,7 @@ def test_merge_distances_never_invert():
     rng = random.Random(29)
     for _ in range(10):
         rows = [[rng.randrange(2) for _ in range(8)] for _ in range(12)]
-        tree = build_tree(TaskPopulation(1, rows))
+        tree = build_tree(1, rows)
         merges = [d for d in tree.merge_distance if d is not None]
         for a, b in zip(merges, merges[1:]):
             assert b >= a - 1e-12
@@ -127,7 +126,7 @@ def test_tie_break_prefers_lowest_cluster_ids():
     # all columns identical: every pair sits at distance 0, so merges must
     # walk the ids in order: (0,1), (2,3), then the two pairs
     rows = [[0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 0, 0]]
-    tree = build_tree(TaskPopulation(1, rows))
+    tree = build_tree(1, rows)
     assert tree.children[4] == (0, 1)
     assert tree.clusters[4] == (0, 1)
     assert tree.children[5] == (2, 3)
@@ -138,7 +137,7 @@ def test_average_linkage_update_is_the_mean():
     # columns 0 and 1 are copies, column 2 is independent of both, so after
     # merging {0, 1} the distance to 2 is the plain average of two equal 1s
     rows = [[0, 0, 0], [0, 0, 1], [1, 1, 0], [1, 1, 1]]
-    tree = build_tree(TaskPopulation(1, rows))
+    tree = build_tree(1, rows)
     assert tree.children[3] == (0, 1)
     assert tree.merge_distance[3] == pytest.approx(0.0)
     assert tree.merge_distance[4] == pytest.approx(1.0)
@@ -146,7 +145,7 @@ def test_average_linkage_update_is_the_mean():
 
 def test_crossover_masks_exclude_root_and_sort_by_size_then_recency():
     rows = [[0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 0, 0]]
-    tree = build_tree(TaskPopulation(1, rows))
+    tree = build_tree(1, rows)
     masks = tree.crossover_masks()
     assert masks == [(2, 3), (0, 1), (3,), (2,), (1,), (0,)]
     assert tuple(range(tree.num_genes)) not in masks
@@ -154,7 +153,7 @@ def test_crossover_masks_exclude_root_and_sort_by_size_then_recency():
 
 
 def test_single_gene_tree_has_no_masks():
-    tree = build_tree(TaskPopulation(1, [[0], [1]]))
+    tree = build_tree(1, [[0], [1]])
     assert tree.num_genes == 1
     assert tree.crossover_masks() == []
 
@@ -181,7 +180,7 @@ def test_build_all_trees_falls_back_to_whole_population():
 
 def test_dump_renders_every_gene():
     rows = [[0, 1, 0], [1, 0, 1], [0, 0, 1], [1, 1, 0]]
-    tree = build_tree(TaskPopulation(1, rows))
+    tree = build_tree(1, rows)
     text = tree.dump()
     assert text.splitlines()[0].startswith("{0,1,2}")
     for g in range(3):

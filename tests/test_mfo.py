@@ -1,4 +1,6 @@
+import math
 import random
+import re
 
 import pytest
 
@@ -77,12 +79,25 @@ def test_all_known_solved_is_false_without_declared_optima():
     assert not ledger.all_known_solved()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ledger_rejects_non_finite_costs(bad):
+    broken = TaskDefinition(task_id=2, dimension=4, alphabet_size=3, objective=lambda genes: bad)
+    ledger = EvalLedger([sum_task(1), broken])
+    ind = fresh([0, 1, 2, 0])
+    ledger.evaluate(ind, 1)
+    message = f"task 2: objective returned non-finite cost {bad}"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        ledger.evaluate(ind, 2)
+    assert ledger.count == 1
+    assert ind.factorial_costs == [3.0, None]
+
+
 def test_initialize_population_shape_and_eval_count():
     tasks = [sum_task(1, optimum=0.0), sum_task(2, dimension=2)]
     rng = random.Random(0)
     pop = initialize_population(tasks, 8, rng)
-    assert pop.size == 8
-    assert pop.eval_counter == 16
+    assert len(pop.members) == 8
+    assert pop.ledger.count == 16
     assert pop.ledger.task_counts == [8, 8]
     for ind in pop.members:
         assert len(ind.genotype) == 4
@@ -168,10 +183,10 @@ def test_select_fittest_truncates_by_scalar_fitness():
     assign_ranks_and_skill(pop)
     extra = fresh([0, 1], k=1)
     ledger.evaluate(extra, 1)
-    out = select_fittest(pop, [extra], 2)
+    out = select_fittest(pop, Population([extra], ledger), 2)
     costs = sorted(ind.factorial_costs[0] for ind in out.members)
     assert costs == [0.0, 1.0]
-    assert out.size == 2
+    assert len(out.members) == 2
 
 
 def test_select_fittest_unions_by_identity():
@@ -185,8 +200,8 @@ def test_select_fittest_unions_by_identity():
     pop = Population([a, b], ledger)
     assign_ranks_and_skill(pop)
     with pytest.raises(InvalidStateError):
-        select_fittest(pop, [a], 3)
-    out = select_fittest(pop, [a], 2)
+        select_fittest(pop, Population([a], ledger), 3)
+    out = select_fittest(pop, Population([a], ledger), 2)
     assert set(map(id, out.members)) == {id(a), id(b)}
 
 
@@ -200,11 +215,11 @@ def test_select_fittest_reranks_the_union():
     assert stale.factorial_ranks == [1]
     better = fresh([0, 0], k=1)
     ledger.evaluate(better, 1)
-    out = select_fittest(pop, [better], 2)
+    out = select_fittest(pop, Population([better], ledger), 2)
     assert stale.factorial_ranks == [2]
     assert better.factorial_ranks == [1]
     assert better.scalar_fitness == 1.0
-    assert out.size == 2
+    assert len(out.members) == 2
 
 
 def test_working_copy_keeps_costs_drops_ranks():
@@ -216,4 +231,3 @@ def test_working_copy_keeps_costs_drops_ranks():
     assert copy.scalar_fitness is None
     assert copy.skill_factor is None
     assert copy.punish == 4
-    assert ind.cost_on(1) == 3.0

@@ -57,7 +57,7 @@ def test_value_is_additive_over_blocks():
             for s in range(0, spec.length, spec.block_size)
         )
         assert trap.trap_value(spec, bits) == per_block
-        assert trap.evaluate(spec, bits) == spec.max_value - per_block
+        assert trap.evaluate(spec, bits) == spec.length - per_block
 
 
 def test_spec_validation():

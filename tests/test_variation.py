@@ -3,11 +3,10 @@ import random
 import pytest
 
 from mfltga.errors import ConfigurationError, InvalidStateError
-from mfltga.linkage import TaskPopulation, build_all_trees, build_tree
+from mfltga.linkage import build_all_trees, build_tree
 from mfltga.mfo import EvalLedger, Individual, Population, TaskDefinition
 from mfltga.variation import (
     MatingOutcome,
-    PunishmentState,
     assortative_mating,
     mutate,
     tree_crossover,
@@ -66,20 +65,18 @@ def make_pop(tasks, genotypes, skills):
 def paired_tree(task_id=1):
     """Tree over 4 genes merging {0,1} and {2,3} first."""
     rows = [[0, 0, 1, 1], [1, 1, 0, 0]]
-    return build_tree(TaskPopulation(task_id, rows))
+    return build_tree(task_id, rows)
 
 
 def test_tree_crossover_takes_improving_swaps():
     tasks = [sum_task(1)]
     pop = make_pop(tasks, [[1, 1, 0, 0], [0, 0, 1, 1]], [1, 1])
     pa, pb = pop.members
-    state = PunishmentState(n_p=0, max_p=10)
     rng = ScriptedRandom()
-    off_i, off_j = tree_crossover(pa, pb, paired_tree(), tasks[0], state, rng, pop.ledger)
+    off_i, off_j = tree_crossover(pa, pb, paired_tree(), tasks[0], 10, rng, pop.ledger)
     # the first mask swap of {2, 3} already separates the pair into the two
     # uniform genotypes, and no later swap beats cost 0
     assert sorted([off_i.genotype, off_j.genotype]) == [[0, 0, 0, 0], [1, 1, 1, 1]]
-    assert state.n_p == 0
     assert off_i.punish == 0 and off_j.punish == 0
     # parents stay untouched
     assert pa.genotype == [1, 1, 0, 0]
@@ -95,10 +92,9 @@ def test_tree_crossover_preserves_position_multisets():
         gb = [rng.randrange(2) for _ in range(6)]
         pop = make_pop(tasks, [ga, gb], [1, 1])
         rows = [[rng.randrange(2) for _ in range(6)] for _ in range(8)]
-        tree = build_tree(TaskPopulation(1, rows))
-        state = PunishmentState(n_p=0, max_p=10 ** 6)
+        tree = build_tree(1, rows)
         off_i, off_j = tree_crossover(
-            pop.members[0], pop.members[1], tree, tasks[0], state, rng, pop.ledger
+            pop.members[0], pop.members[1], tree, tasks[0], 10 ** 6, rng, pop.ledger
         )
         for g in range(6):
             assert sorted([off_i.genotype[g], off_j.genotype[g]]) == sorted([ga[g], gb[g]])
@@ -109,8 +105,7 @@ def test_tree_crossover_charges_two_evals_per_mask():
     pop = make_pop(tasks, [[0, 1, 0, 1], [1, 0, 1, 0]], [1, 1])
     tree = paired_tree()
     before = pop.ledger.count
-    state = PunishmentState(n_p=0, max_p=10)
-    tree_crossover(pop.members[0], pop.members[1], tree, tasks[0], state, ScriptedRandom(), pop.ledger)
+    tree_crossover(pop.members[0], pop.members[1], tree, tasks[0], 10, ScriptedRandom(), pop.ledger)
     masks = len(tree.crossover_masks())
     assert pop.ledger.count - before == 2 * masks
 
@@ -121,19 +116,18 @@ def test_tree_crossover_evaluates_unevaluated_parents_on_entry():
     pa = Individual([0, 1, 0, 1], [None], [None])
     pb = Individual([1, 0, 1, 0], [None], [None])
     tree = paired_tree()
-    state = PunishmentState(n_p=0, max_p=10)
-    tree_crossover(pa, pb, tree, tasks[0], state, ScriptedRandom(), ledger)
+    tree_crossover(pa, pb, tree, tasks[0], 10, ScriptedRandom(), ledger)
     assert ledger.count == 2 + 2 * len(tree.crossover_masks())
 
 
 def test_tree_crossover_stagnation_increments_punishment():
     tasks = [flat_task(1)]
     pop = make_pop(tasks, [[0, 1, 0, 1], [1, 0, 1, 0]], [1, 1])
-    state = PunishmentState(n_p=4, max_p=10)
+    pop.members[0].punish = 4
+    pop.members[1].punish = 2
     off_i, off_j = tree_crossover(
-        pop.members[0], pop.members[1], paired_tree(), tasks[0], state, ScriptedRandom(), pop.ledger
+        pop.members[0], pop.members[1], paired_tree(), tasks[0], 10, ScriptedRandom(), pop.ledger
     )
-    assert state.n_p == 5
     assert off_i.punish == 5 and off_j.punish == 5
     # no swap was kept, so the working pair still mirrors the parents
     assert off_i.genotype == [0, 1, 0, 1]
@@ -144,13 +138,12 @@ def test_tree_crossover_restarts_past_threshold():
     tasks = [flat_task(1)]
     pop = make_pop(tasks, [[0, 1, 0, 1], [1, 0, 1, 0]], [1, 1])
     tree = paired_tree()
-    state = PunishmentState(n_p=10, max_p=10)
+    pop.members[0].punish = 10
     rng = ScriptedRandom(randranges=[1, 1, 1, 1, 0, 0, 0, 0])
     before = pop.ledger.count
     off_i, off_j = tree_crossover(
-        pop.members[0], pop.members[1], tree, tasks[0], state, rng, pop.ledger
+        pop.members[0], pop.members[1], tree, tasks[0], 10, rng, pop.ledger
     )
-    assert state.n_p == 0
     assert off_i.punish == 0 and off_j.punish == 0
     assert off_i.genotype == [1, 1, 1, 1]
     assert off_j.genotype == [0, 0, 0, 0]
@@ -217,7 +210,7 @@ def test_mating_mixed_pair_flips_a_coin_and_backs_up_the_loser():
     assert outcome.intermediate_pop == outcome.offspring_pop + outcome.backup_pop
 
 
-def test_mating_offspring_hold_a_cost_on_their_task():
+def test_mating_offspring_hold_a_cost_for_their_task():
     tasks = [sum_task(1), sum_task(2)]
     pop = make_pop(
         tasks,
