@@ -72,7 +72,17 @@ class ExperimentConfig:
 
 
 def parse_problem_descriptor(text: str):
-    """Split a descriptor like 'dtf:k=3,m=5' or 'cluspt:path/to.file'."""
+    """Split a descriptor like 'dtf:k=3,m=5' or 'cluspt:path/to.file'.
+
+    A CluSPT descriptor may end in ',opt=<x>', the instance's known optimum;
+    it is dropped here and read by resolve_tasks.
+    """
+    kind, payload, _ = _parse_descriptor(text)
+    return kind, payload
+
+
+def _parse_descriptor(text: str):
+    """(kind, TrapSpec or instance path, known optimum or None)."""
     kind, sep, rest = text.partition(":")
     if not sep or not rest:
         raise ConfigurationError(f"malformed problem descriptor {text!r}")
@@ -92,9 +102,20 @@ def parse_problem_descriptor(text: str):
             raise ConfigurationError(f"dtf parameters must be integers in {text!r}")
         if params:
             raise ConfigurationError(f"unknown dtf parameters {sorted(params)}")
-        return "dtf", spec
+        return "dtf", spec, None
     if kind == "cluspt":
-        return "cluspt", rest.strip()
+        path, sep, opt_text = rest.rpartition(",opt=")
+        if not sep:
+            return "cluspt", rest.strip(), None
+        if not path.strip():
+            raise ConfigurationError(f"malformed problem descriptor {text!r}")
+        try:
+            optimum = float(opt_text)
+        except ValueError:
+            raise ConfigurationError(f"optimum is not a number in {text!r}")
+        if not math.isfinite(optimum):
+            raise ConfigurationError(f"optimum must be finite in {text!r}")
+        return "cluspt", path.strip(), optimum
     raise ConfigurationError(f"unknown problem kind {kind!r}")
 
 
@@ -103,8 +124,8 @@ def resolve_tasks(config: ExperimentConfig):
     descriptors = list(config.problems)
     if len(descriptors) == 1 and config.num_tasks > 1:
         descriptors = descriptors * config.num_tasks
-    parsed = [parse_problem_descriptor(d) for d in descriptors]
-    kinds = {kind for kind, _ in parsed}
+    parsed = [_parse_descriptor(d) for d in descriptors]
+    kinds = {kind for kind, _, _ in parsed}
     if len(kinds) > 1:
         raise ConfigurationError(
             "tasks must share a gene alphabet; mixing dtf and cluspt is not supported"
@@ -112,14 +133,18 @@ def resolve_tasks(config: ExperimentConfig):
     tasks = []
     labels = []
     if kinds == {"dtf"}:
-        for tid, ((_, spec), label) in enumerate(zip(parsed, descriptors), start=1):
+        for tid, ((_, spec, _), label) in enumerate(zip(parsed, descriptors), start=1):
             tasks.append(trap.make_task(spec, task_id=tid))
             labels.append(label)
     else:
-        graphs = [cluspt.parse_file(payload) for _, payload in parsed]
+        graphs = [cluspt.parse_file(path) for _, path, _ in parsed]
         alphabet = max(max(g.n for g in graphs), 2)
-        for tid, (g, label) in enumerate(zip(graphs, descriptors), start=1):
-            tasks.append(cluspt.make_task(g, task_id=tid, alphabet_size=alphabet))
+        for tid, (g, (_, _, optimum), label) in enumerate(
+            zip(graphs, parsed, descriptors), start=1
+        ):
+            tasks.append(
+                cluspt.make_task(g, task_id=tid, alphabet_size=alphabet, known_optimum=optimum)
+            )
             labels.append(label)
     return tasks, labels
 

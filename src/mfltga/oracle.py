@@ -121,7 +121,7 @@ def exhaustive_cluspt(g: ClusteredGraph) -> OracleResult:
         raise ConfigurationError(
             f"instance has {g.n} vertices; exhaustive enumeration caps at {MAX_CLUSPT_VERTICES}"
         )
-    owner = g.cluster_of()
+    owner = g.owner
     per_cluster = [_spanning_trees_of_cluster(g, cluster) for cluster in g.clusters]
     inter = [
         (u, v)

@@ -33,7 +33,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from heapq import heappop, heappush
+from itertools import islice
 from typing import Optional
 
 from ..errors import ConfigurationError, InstanceFormatError, InvalidStateError
@@ -55,12 +58,48 @@ class ClusteredGraph:
     def num_clusters(self) -> int:
         return len(self.clusters)
 
-    def cluster_of(self) -> list:
+    # The tables below depend on the graph alone, so each is built on first
+    # use and kept; the graph is not to be modified after that.
+
+    @cached_property
+    def owner(self) -> tuple:
+        """owner[v] is the index of the cluster holding vertex v."""
         owner = [None] * self.n
         for ci, cluster in enumerate(self.clusters):
             for v in cluster:
                 owner[v] = ci
-        return owner
+        return tuple(owner)
+
+    @cached_property
+    def intra_links(self) -> tuple:
+        """intra_links[u] lists (v, w, (u, v, w)) for each edge u-v inside a cluster."""
+        owner = self.owner
+        return tuple(
+            [(v, w, (u, v, w)) for v, w in self.adjacency[u].items() if owner[v] == owner[u]]
+            for u in range(self.n)
+        )
+
+    @cached_property
+    def cluster_links(self) -> tuple:
+        """cluster_links[a] lists (b, w, (lo, hi, w)) for each cluster b adjacent to a.
+
+        lo-hi is the cheapest concrete edge between the two clusters, ties
+        broken by lower endpoint ids.
+        """
+        owner = self.owner
+        cheapest = {}
+        for u, v, w in self.edges():
+            a, b = owner[u], owner[v]
+            if a != b:
+                pair = (min(a, b), max(a, b))
+                cand = (w, min(u, v), max(u, v))
+                if pair not in cheapest or cand < cheapest[pair]:
+                    cheapest[pair] = cand
+        links = [[] for _ in self.clusters]
+        for (a, b), (w, lo, hi) in cheapest.items():
+            links[a].append((b, w, (lo, hi, w)))
+            links[b].append((a, w, (lo, hi, w)))
+        return tuple(links)
 
     def edges(self):
         for u in range(self.n):
@@ -87,6 +126,13 @@ class TreeSolution:
 
 def _nint(x: float) -> int:
     return int(x + 0.5)
+
+
+def _listed(ids, count: int) -> str:
+    """The first few of count ids, e.g. '[4]' or '[2, 3, 4, 5, 6] and 7 more'."""
+    head = list(islice(ids, 5))
+    more = count - len(head)
+    return f"{head} and {more} more" if more else f"{head}"
 
 
 _HEADER_KEYS = {"NAME", "DIMENSION", "CLUSTERS", "SOURCE", "EDGE_WEIGHT_TYPE"}
@@ -161,12 +207,11 @@ def parse_instance(text: str) -> ClusteredGraph:
     if weight_type not in ("EUC_2D", "EXPLICIT"):
         raise InstanceFormatError(f"unsupported EDGE_WEIGHT_TYPE {weight_type!r}", wt_line)
 
-    adjacency = {v: {} for v in range(n)}
     coords = None
     if weight_type == "EUC_2D":
         if not coord_lines:
             raise InstanceFormatError("EUC_2D instance without NODE_COORD_SECTION")
-        coords = [None] * n
+        given = {}
         for lineno, line in coord_lines:
             parts = line.split()
             if len(parts) != 3:
@@ -180,12 +225,18 @@ def parse_instance(text: str) -> ClusteredGraph:
                 raise InstanceFormatError(f"non-finite coordinate in {line!r}", lineno)
             if not 1 <= vid <= n:
                 raise InstanceFormatError(f"vertex {vid} outside 1..{n}", lineno)
-            if coords[vid - 1] is not None:
+            if vid - 1 in given:
                 raise InstanceFormatError(f"duplicate coordinates for vertex {vid}", lineno)
-            coords[vid - 1] = (x, y)
-        missing = [v + 1 for v in range(n) if coords[v] is None]
-        if missing:
-            raise InstanceFormatError(f"missing coordinates for vertices {missing}")
+            given[vid - 1] = (x, y)
+        # Checked before anything of size n is allocated: n comes from the
+        # header and may be far larger than the file.
+        if len(given) < n:
+            missing = (v + 1 for v in range(n) if v not in given)
+            raise InstanceFormatError(
+                f"missing coordinates for vertices {_listed(missing, n - len(given))}"
+            )
+        coords = [given[v] for v in range(n)]
+        adjacency = {v: {} for v in range(n)}
         try:
             for u in range(n):
                 for v in range(u + 1, n):
@@ -199,6 +250,11 @@ def parse_instance(text: str) -> ClusteredGraph:
     else:
         if not edge_lines:
             raise InstanceFormatError("EXPLICIT instance without EDGE_SECTION")
+        if len(edge_lines) < n - 1:
+            raise InstanceFormatError(
+                f"graph is not connected: {len(edge_lines)} edges cannot join {n} vertices"
+            )
+        adjacency = {v: {} for v in range(n)}
         for lineno, line in edge_lines:
             parts = line.split()
             if len(parts) != 3:
@@ -252,9 +308,11 @@ def parse_instance(text: str) -> ClusteredGraph:
                 )
             assigned[v] = cid
         clusters_by_id[cid] = tuple(sorted(v - 1 for v in members))
-    unassigned = [v for v in range(1, n + 1) if v not in assigned]
-    if unassigned:
-        raise InstanceFormatError(f"vertices {unassigned} belong to no cluster")
+    if len(assigned) < n:
+        unassigned = (v for v in range(1, n + 1) if v not in assigned)
+        raise InstanceFormatError(
+            f"vertices {_listed(unassigned, n - len(assigned))} belong to no cluster"
+        )
     clusters = [clusters_by_id[cid] for cid in range(1, num_clusters + 1)]
 
     graph = ClusteredGraph(
@@ -296,80 +354,49 @@ def _reachable(adjacency, start, allowed) -> set:
     return seen
 
 
-def _grow_cluster_tree(g: ClusteredGraph, cluster, prio):
-    """Spanning tree of one cluster by highest-priority frontier expansion.
+def _grow(root, prio, links):
+    """Tree grown from root by highest-priority frontier expansion.
 
-    The seed is the cluster's highest-priority vertex (ties: lower id); each
-    step adds the frontier vertex with the highest priority, ties broken by
-    lower vertex id, then lower edge weight, then lower tree-side endpoint.
+    links[x] lists (y, w, edge) for every item y joined to x by a link of
+    weight w realized as the concrete edge (u, v, w).  Each step adds the
+    frontier item with the highest prio[y], ties broken by lower id, attached
+    through its lowest-weight link, then the one from the lower tree-side
+    item.  Returns the concrete edges in the order added; the tree spans only
+    what root can reach.
     """
-    members = set(cluster)
-    seed = min(cluster, key=lambda v: (-prio[v], v))
-    in_tree = {seed}
+    reached = {root}
+    best = {}
+    frontier = []
     edges = []
-    while len(in_tree) < len(cluster):
-        best = None
-        for u in in_tree:
-            for v, w in g.adjacency[u].items():
-                if v in members and v not in in_tree:
-                    key = (-prio[v], v, w, u)
-                    if best is None or key < best[0]:
-                        best = (key, u, v)
-        if best is None:
-            raise InvalidStateError("cluster subgraph is not connected")
-        _, u, v = best
-        edges.append((u, v))
-        in_tree.add(v)
-    return edges
-
-
-def _connect_clusters(g: ClusteredGraph, prio):
-    """Choose the inter-cluster edges via a cluster-level priority tree.
-
-    The cluster graph is grown from the source's cluster with the same
-    frontier rule, using each cluster's lowest-id vertex for its priority;
-    every chosen cluster edge is realized as the minimum-weight concrete edge
-    between the two clusters (ties by lower endpoint ids).
-    """
-    owner = g.cluster_of()
-    rep = {}
-    for u, v, w in g.edges():
-        cu, cv = owner[u], owner[v]
-        if cu == cv:
-            continue
-        pair = (min(cu, cv), max(cu, cv))
-        lo, hi = min(u, v), max(u, v)
-        cand = (w, lo, hi)
-        if pair not in rep or cand < rep[pair]:
-            rep[pair] = cand
-    cluster_prio = [prio[min(cluster)] for cluster in g.clusters]
-    root = owner[g.source]
-    in_tree = {root}
-    edges = []
-    while len(in_tree) < g.num_clusters:
-        best = None
-        for a in in_tree:
-            for b in range(g.num_clusters):
-                if b in in_tree:
-                    continue
-                pair = (min(a, b), max(a, b))
-                if pair not in rep:
-                    continue
-                w = rep[pair][0]
-                key = (-cluster_prio[b], b, w, a)
-                if best is None or key < best[0]:
-                    best = (key, pair)
-        if best is None:
-            raise InvalidStateError("cluster-level graph is not connected")
-        _, pair = best
-        _, lo, hi = rep[pair]
-        edges.append((lo, hi))
-        in_tree.add(pair[0] if pair[1] in in_tree else pair[1])
-    return edges
+    x = root
+    while True:
+        for y, w, edge in links[x]:
+            if y in reached:
+                continue
+            cand = (w, x, edge)
+            held = best.get(y)
+            if held is None:
+                heappush(frontier, (-prio[y], y))
+                best[y] = cand
+            elif cand < held:
+                best[y] = cand
+        if not frontier:
+            return edges
+        x = heappop(frontier)[1]
+        reached.add(x)
+        edges.append(best[x][2])
 
 
 def decode(g: ClusteredGraph, genotype) -> TreeSolution:
-    """Decode a priority vector into a feasible clustered spanning tree."""
+    """Decode a priority vector into a feasible clustered spanning tree.
+
+    Each cluster's internal tree is grown from its highest-priority vertex
+    (ties: lower id).  The cluster-level tree is grown from the source's
+    cluster, a cluster's priority being that of its lowest-id vertex, and each
+    cluster-level edge is realized as the minimum-weight concrete edge between
+    the two clusters (ties by lower endpoint ids).  The result is oriented
+    away from the source.
+    """
     if len(genotype) < g.n:
         raise ConfigurationError(
             f"genotype length {len(genotype)} is shorter than vertex count {g.n}"
@@ -377,12 +404,19 @@ def decode(g: ClusteredGraph, genotype) -> TreeSolution:
     prio = genotype
     tree_edges = []
     for cluster in g.clusters:
-        tree_edges.extend(_grow_cluster_tree(g, cluster, prio))
-    tree_edges.extend(_connect_clusters(g, prio))
+        seed = min(cluster, key=lambda v: (-prio[v], v))
+        grown = _grow(seed, prio, g.intra_links)
+        if len(grown) != len(cluster) - 1:
+            raise InvalidStateError("cluster subgraph is not connected")
+        tree_edges += grown
+    cluster_prio = [prio[min(cluster)] for cluster in g.clusters]
+    grown = _grow(g.owner[g.source], cluster_prio, g.cluster_links)
+    if len(grown) != g.num_clusters - 1:
+        raise InvalidStateError("cluster-level graph is not connected")
+    tree_edges += grown
 
-    neighbors = {v: [] for v in range(g.n)}
-    for u, v in tree_edges:
-        w = g.adjacency[u][v]
+    neighbors = [[] for _ in range(g.n)]
+    for u, v, w in tree_edges:
         neighbors[u].append((v, w))
         neighbors[v].append((u, w))
     parent = [None] * g.n

@@ -64,6 +64,20 @@ def test_run_subcommand_st_mode_on_an_instance_file(tmp_path, capsys):
     assert ",st,1,1," in out
 
 
+def test_run_counts_cluspt_successes_against_a_declared_optimum(capsys):
+    # 22 is the rings6 optimum (see the oracle test below); without ',opt='
+    # a run can find it but never count it
+    problem = f"cluspt:{INSTANCES / 'rings6.cluspt'},opt=22"
+    argv = ["run", "--problem", problem, "--mode", "st", "--tasks", "1", "--pop", "16"]
+    code = main(argv + ["--max-evals", "5000", "--runs", "2", "--seed", "3"])
+    assert code == 0
+    row = capsys.readouterr().out.strip().splitlines()[1]
+    assert row.startswith(f"{problem},st,1,2,")
+    num_opt, _, bf = row[len(problem) + 1 :].split(",")[3:6]
+    assert int(num_opt) >= 1
+    assert float(bf) == 22.0
+
+
 def test_oracle_subcommand_dtf(capsys):
     assert main(["oracle", "--problem", "dtf:k=2,m=3"]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 import math
 import pathlib
 import random
+import time
 
 import pytest
 
@@ -115,6 +116,40 @@ def test_parse_rejects_non_finite_numbers(value):
 def test_parse_rejects_overflowing_distance():
     text = euc_text(["1 1e308 0", "2 -1e308 0"])
     with pytest.raises(InstanceFormatError, match="vertices 1 and 2 overflows"):
+        cluspt.parse_instance(text)
+
+
+@pytest.mark.parametrize(
+    "body, fragment",
+    [
+        (["EDGE_WEIGHT_TYPE: EXPLICIT", "EDGE_SECTION", "1 2 1"], "not connected: 1 edges"),
+        (
+            ["EDGE_WEIGHT_TYPE: EUC_2D", "NODE_COORD_SECTION", "1 0 0", "3 4 0"],
+            r"missing coordinates for vertices \[2, 4, 5, 6, 7\] and 999999993 more",
+        ),
+    ],
+)
+def test_parse_rejects_huge_dimension_before_allocating(body, fragment):
+    # a tiny file cannot describe 10**9 vertices; building the per-vertex
+    # tables first would exhaust memory long before the error
+    header = ["DIMENSION: 1000000000", "CLUSTERS: 1", "SOURCE: 1"]
+    text = "\n".join([*header, *body, "CLUSTER_SECTION", "1 1 2 -1", "EOF"])
+    start = time.perf_counter()
+    with pytest.raises(InstanceFormatError, match=fragment):
+        cluspt.parse_instance(text)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_parse_lists_only_the_first_unassigned_vertices():
+    text = build(
+        dimension=12,
+        edges=[f"{v} {v + 1} 1" for v in range(1, 12)],
+        clusters=1,
+        cluster_lines=["1 1 2 -1"],
+    )
+    with pytest.raises(
+        InstanceFormatError, match=r"vertices \[3, 4, 5, 6, 7\] and 5 more belong to no cluster"
+    ):
         cluspt.parse_instance(text)
 
 

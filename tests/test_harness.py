@@ -73,9 +73,30 @@ def test_parse_problem_descriptor():
     kind, path = parse_problem_descriptor("cluspt:instances/path4.cluspt")
     assert kind == "cluspt"
     assert path == "instances/path4.cluspt"
-    for bad in ("dtf", "dtf:k=3", "dtf:k=a,m=5", "dtf:k=3,m=5,z=1", "spin:j=2"):
+    kind, path = parse_problem_descriptor("cluspt:instances/a,b.cluspt,opt=22.5")
+    assert (kind, path) == ("cluspt", "instances/a,b.cluspt")
+    for bad in (
+        "dtf",
+        "dtf:k=3",
+        "dtf:k=a,m=5",
+        "dtf:k=3,m=5,z=1",
+        "spin:j=2",
+        "cluspt:x.cluspt,opt=",
+        "cluspt:x.cluspt,opt=abc",
+        "cluspt:x.cluspt,opt=nan",
+        "cluspt:x.cluspt,opt=inf",
+        "cluspt:,opt=3",
+    ):
         with pytest.raises(ConfigurationError):
             parse_problem_descriptor(bad)
+
+
+def test_cluspt_descriptor_optimum_reaches_the_task():
+    path = INSTANCES / "rings6.cluspt"
+    config = ExperimentConfig(problems=[f"cluspt:{path},opt=22", f"cluspt:{path}"])
+    tasks, labels = resolve_tasks(config)
+    assert [t.known_optimum for t in tasks] == [22.0, None]
+    assert labels == [f"cluspt:{path},opt=22", f"cluspt:{path}"]
 
 
 def test_resolve_tasks_replicates_and_labels():

@@ -185,3 +185,23 @@ def test_dump_renders_every_gene():
     assert text.splitlines()[0].startswith("{0,1,2}")
     for g in range(3):
         assert f"{{{g}}}" in text
+
+
+def test_build_tree_matches_scipy_average_linkage():
+    # scipy's UPGMA names the i-th merge L + i as build_tree does; on inputs
+    # without tied distances both must merge the same pairs at the same heights
+    hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+    from scipy.spatial.distance import squareform
+
+    rng = random.Random(41)
+    for n_genes in (2, 6, 12):
+        rows = [[rng.randrange(4) for _ in range(n_genes)] for _ in range(40)]
+        condensed = squareform(proximity_matrix(rows), checks=False)
+        assert len(set(condensed.tolist())) == len(condensed), "inputs must be tie-free"
+        tree = build_tree(1, rows)
+        merges = hierarchy.linkage(condensed, method="average")
+        for i, (a, b, height, size) in enumerate(merges):
+            node = n_genes + i
+            assert tree.children[node] == (min(int(a), int(b)), max(int(a), int(b)))
+            assert tree.merge_distance[node] == pytest.approx(height, rel=1e-12, abs=1e-12)
+            assert len(tree.clusters[node]) == size
