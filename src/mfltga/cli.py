@@ -10,6 +10,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 
 from .errors import ConfigurationError, InstanceFormatError
@@ -18,6 +19,7 @@ from .harness import (
     parse_problem_descriptor,
     run_experiment,
     summarize,
+    summary_csv_rows,
 )
 from .oracle import exhaustive_cluspt, exhaustive_dtf
 from .problems import cluspt
@@ -68,14 +70,7 @@ def _cmd_run(args) -> int:
         out_path=args.out,
     )
     result = run_experiment(config)
-    table = summarize(result)
-    print("instance,mode,task,runs,num_opt,mean_num_evals,bf,avg")
-    for row in table.rows:
-        evals = "" if row.mean_num_evals is None else f"{row.mean_num_evals:.1f}"
-        print(
-            f"{row.instance},{row.mode},{row.task},{row.runs},"
-            f"{row.num_opt},{evals},{row.bf},{row.avg}"
-        )
+    csv.writer(sys.stdout, lineterminator="\n").writerows(summary_csv_rows(summarize(result)))
     if config.out_path:
         print(f"outputs written to {config.out_path}")
     return 0

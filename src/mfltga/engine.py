@@ -13,13 +13,12 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .linkage import build_all_trees
 from .mfo import (
     Population,
     TaskDefinition,
-    assign_ranks_and_skill,
     initialize_population,
     select_fittest,
 )

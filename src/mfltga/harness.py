@@ -343,25 +343,25 @@ def _trace_rows(result: ExperimentResult, run_index: int, num_tasks: int, stars)
     return st_serial_trace_rows(records, stars)
 
 
+def summary_csv_rows(table: SummaryTable):
+    """Yield the summary header, then one row per entry, as CSV fields."""
+    yield ["instance", "mode", "task", "runs", "num_opt", "mean_num_evals", "bf", "avg"]
+    for row in table.rows:
+        yield [
+            row.instance,
+            row.mode,
+            row.task,
+            row.runs,
+            row.num_opt,
+            "" if row.mean_num_evals is None else repr(row.mean_num_evals),
+            repr(row.bf),
+            repr(row.avg),
+        ]
+
+
 def write_summary_csv(table: SummaryTable, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["instance", "mode", "task", "runs", "num_opt", "mean_num_evals", "bf", "avg"]
-        )
-        for row in table.rows:
-            writer.writerow(
-                [
-                    row.instance,
-                    row.mode,
-                    row.task,
-                    row.runs,
-                    row.num_opt,
-                    "" if row.mean_num_evals is None else repr(row.mean_num_evals),
-                    repr(row.bf),
-                    repr(row.avg),
-                ]
-            )
+        csv.writer(handle).writerows(summary_csv_rows(table))
 
 
 def read_summary_csv(path) -> SummaryTable:

@@ -94,21 +94,6 @@ def _pair_distance(cx, card_x, hx, cy, card_y, hy) -> float:
     return 2.0 - (hx + hy) / hxy
 
 
-def pairwise_distance(col_x, col_y) -> float:
-    """Entropy distance between two gene columns of equal length >= 1."""
-    x = np.asarray(col_x)
-    y = np.asarray(col_y)
-    if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
-        raise InvalidStateError("gene columns must be 1-d and of equal length")
-    if x.size == 0:
-        raise InvalidStateError("gene columns must hold at least one sample")
-    cx, card_x = _compact(x)
-    cy, card_y = _compact(y)
-    hx = _entropy_bits(np.bincount(cx, minlength=card_x))
-    hy = _entropy_bits(np.bincount(cy, minlength=card_y))
-    return _pair_distance(cx, card_x, hx, cy, card_y, hy)
-
-
 def proximity_matrix(rows) -> np.ndarray:
     """Symmetric L x L gene-distance matrix with a zero diagonal."""
     data = np.asarray(rows)

@@ -9,7 +9,7 @@ is best at.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import ConfigurationError, InvalidStateError

@@ -328,8 +328,15 @@ def parse_instance(text: str) -> ClusteredGraph:
 
 
 def parse_file(path) -> ClusteredGraph:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_instance(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise ConfigurationError(f"cannot read instance file {path}: {reason}") from exc
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(f"instance file {path} is not UTF-8 text: {exc.reason}") from exc
+    return parse_instance(text)
 
 
 def _check_connectivity(g: ClusteredGraph) -> None:

@@ -9,6 +9,7 @@ m*k - value, so the unique optimum (all ones) has cost 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..errors import ConfigurationError
 from ..mfo import TaskDefinition
@@ -30,32 +31,25 @@ class TrapSpec:
         return self.block_size * self.num_blocks
 
 
-def trap_block(bits) -> int:
-    """Score of one k-bit block: k when all ones, else k - 1 - (ones count)."""
-    k = len(bits)
-    if k < 1:
-        raise ConfigurationError("block must hold at least one gene")
-    u = 0
-    for gene in bits:
-        if gene not in (0, 1):
-            raise ConfigurationError(f"block gene {gene!r} is not a bit")
-        u += gene
-    return k if u == k else k - 1 - u
+_BITS = frozenset((0, 1))
 
 
-def trap_value(spec: TrapSpec, bits) -> int:
-    """Maximization value of a full genotype (sum of block scores)."""
+def evaluate(spec: TrapSpec, bits) -> int:
+    """Minimization cost of a genotype, 0 at the optimum (all ones).
+
+    A block with u ones costs k - score: 0 when u = k, else u + 1.  Summed
+    over the m blocks that is (total ones) + m - (k + 1) * (all-ones blocks).
+    """
     if len(bits) != spec.length:
         raise ConfigurationError(
             f"genotype length {len(bits)} does not match instance length {spec.length}"
         )
+    if not _BITS.issuperset(bits):
+        pos, gene = next((i, g) for i, g in enumerate(bits) if g not in _BITS)
+        raise ConfigurationError(f"gene {gene!r} at position {pos} is not a bit")
     k = spec.block_size
-    return sum(trap_block(bits[start : start + k]) for start in range(0, spec.length, k))
-
-
-def evaluate(spec: TrapSpec, bits) -> int:
-    """Engine-facing minimization cost: length - value, 0 at the optimum."""
-    return spec.length - trap_value(spec, bits)
+    ones = list(map(sum, zip(*[iter(bits)] * k)))
+    return sum(ones) + spec.num_blocks - (k + 1) * ones.count(k)
 
 
 def make_task(spec: TrapSpec, task_id: int = 1) -> TaskDefinition:
@@ -63,7 +57,7 @@ def make_task(spec: TrapSpec, task_id: int = 1) -> TaskDefinition:
         task_id=task_id,
         dimension=spec.length,
         alphabet_size=2,
-        objective=lambda bits, _spec=spec: evaluate(_spec, bits),
+        objective=partial(evaluate, spec),
         known_optimum=0.0,
     )
 

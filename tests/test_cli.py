@@ -1,9 +1,21 @@
+import csv
 import json
 import pathlib
+
+import pytest
 
 from mfltga.cli import main
 
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
+HEADER = ["instance", "mode", "task", "runs", "num_opt", "mean_num_evals", "bf", "avg"]
+
+
+def printed_table(out):
+    """The summary table `run` printed, parsed as CSV (header row first)."""
+    lines = [line for line in out.splitlines() if not line.startswith("outputs written to ")]
+    rows = list(csv.reader(lines))
+    assert all(len(row) == len(HEADER) for row in rows)
+    return rows
 
 
 def test_run_subcommand_prints_summary_and_writes_outputs(tmp_path, capsys):
@@ -29,11 +41,11 @@ def test_run_subcommand_prints_summary_and_writes_outputs(tmp_path, capsys):
         ]
     )
     assert code == 0
-    out = capsys.readouterr().out
-    lines = out.strip().splitlines()
-    assert lines[0] == "instance,mode,task,runs,num_opt,mean_num_evals,bf,avg"
-    assert sum(1 for line in lines if line.startswith("dtf:k=3,m=2,mt,")) == 2
-    assert (tmp_path / "summary.csv").exists()
+    rows = printed_table(capsys.readouterr().out)
+    assert rows[0] == HEADER
+    assert [row[:3] for row in rows[1:]] == [["dtf:k=3,m=2", "mt", str(t)] for t in (1, 2)]
+    with open(tmp_path / "summary.csv", newline="", encoding="utf-8") as handle:
+        assert list(csv.reader(handle)) == rows
     assert (tmp_path / "trace_0.csv").exists()
     payload = json.loads((tmp_path / "config.json").read_text())
     assert payload["seed"] == 7
@@ -71,11 +83,11 @@ def test_run_counts_cluspt_successes_against_a_declared_optimum(capsys):
     argv = ["run", "--problem", problem, "--mode", "st", "--tasks", "1", "--pop", "16"]
     code = main(argv + ["--max-evals", "5000", "--runs", "2", "--seed", "3"])
     assert code == 0
-    row = capsys.readouterr().out.strip().splitlines()[1]
-    assert row.startswith(f"{problem},st,1,2,")
-    num_opt, _, bf = row[len(problem) + 1 :].split(",")[3:6]
-    assert int(num_opt) >= 1
-    assert float(bf) == 22.0
+    header, row = printed_table(capsys.readouterr().out)
+    assert header == HEADER
+    assert row[:4] == [problem, "st", "1", "2"]
+    assert int(row[4]) >= 1
+    assert float(row[6]) == 22.0
 
 
 def test_oracle_subcommand_dtf(capsys):
@@ -111,3 +123,11 @@ def test_non_finite_instance_number_exits_with_error(tmp_path, capsys):
     bad.write_text((INSTANCES / "euc5.cluspt").read_text().replace("\n2 3 4\n", "\n2 nan 4\n"))
     assert main(["oracle", "--problem", f"cluspt:{bad}"]) == 2
     assert "line 8: non-finite coordinate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+@pytest.mark.parametrize("target", ["missing.cluspt", "."])
+def test_unreadable_instance_path_exits_with_error(tmp_path, capsys, command, target):
+    path = tmp_path / target
+    assert main([command, "--problem", f"cluspt:{path}"]) == 2
+    assert f"error: cannot read instance file {path}" in capsys.readouterr().err

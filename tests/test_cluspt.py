@@ -192,6 +192,21 @@ def test_parse_rejects_disconnected_graph():
         cluspt.parse_instance(text)
 
 
+def test_parse_file_rejects_non_utf8_content(tmp_path):
+    path = tmp_path / "utf16.cluspt"
+    path.write_bytes(b"\xff\xfe" + build().encode("utf-16-le"))
+    with pytest.raises(InstanceFormatError, match="is not UTF-8 text") as info:
+        cluspt.parse_file(path)
+    assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
+
+def test_parse_file_reports_unreadable_paths(tmp_path):
+    for path in (tmp_path / "missing.cluspt", tmp_path):
+        with pytest.raises(ConfigurationError, match="cannot read instance file") as info:
+            cluspt.parse_file(path)
+        assert isinstance(info.value.__cause__, OSError)
+
+
 def test_decode_is_deterministic():
     g = load("blocks7")
     rng = random.Random(5)

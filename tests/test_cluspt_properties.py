@@ -1,16 +1,23 @@
-"""Property test of the CluSPT decoder on generated sparse EXPLICIT instances.
+"""Property tests of the CluSPT parser and decoder.
 
-Each cluster gets a random spanning tree plus a few extra internal edges, and
-the clusters are joined by a random tree of inter-cluster edges plus extras,
-so some cluster pairs share no edge and some share several.  Weights come
-from a three-value set, so cheapest inter-cluster edges often tie.
+The decoder runs on generated sparse EXPLICIT instances.  Each cluster gets a
+random spanning tree plus a few extra internal edges, and the clusters are
+joined by a random tree of inter-cluster edges plus extras, so some cluster
+pairs share no edge and some share several.  Weights come from a three-value
+set, so cheapest inter-cluster edges often tie.
+
+The parser runs on the fixtures in instances/ with a few lines deleted,
+inserted or changed, and may fail only with InstanceFormatError.
 """
+import pathlib
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 import cluspt_reference
+from mfltga.errors import InstanceFormatError
 from mfltga.problems import cluspt
 
 WEIGHTS = st.sampled_from([1, 2, 3])
@@ -68,3 +75,45 @@ def test_decode_is_valid_and_matches_reference(case):
     assert cluspt.recompute_objective(g, sol.parent) == sol.objective
     want = cluspt_reference.decode(g, genotype)
     assert (sol.parent, sol.dist, sol.objective) == (want.parent, want.dist, want.objective)
+
+
+INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
+FIXTURE_LINES = [path.read_text().splitlines() for path in sorted(INSTANCES.glob("*.cluspt"))]
+HEADER_KEYS = st.sampled_from(["NAME", "DIMENSION", "CLUSTERS", "SOURCE", "EDGE_WEIGHT_TYPE"])
+SECTIONS = st.sampled_from(["NODE_COORD_SECTION", "EDGE_SECTION", "CLUSTER_SECTION", "EOF"])
+TOKENS = st.sampled_from(
+    ["0", "1", "2", "5", "-1", "-7", "1.5", "1000000000", "1e308", "1e400", "nan", "inf", "x"]
+    + ["", "EUC_2D", "EXPLICIT"]
+)
+
+
+@st.composite
+def mutated_fixtures(draw):
+    lines = list(draw(st.sampled_from(FIXTURE_LINES)))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(["delete", "header", "section", "number", "field"]))
+        if kind == "header":
+            lines.insert(at, f"{draw(HEADER_KEYS)}: {draw(TOKENS)}")
+        elif kind == "section":
+            lines.insert(at, draw(SECTIONS))
+        elif kind == "number":
+            lines.insert(at, " ".join(draw(st.lists(TOKENS, min_size=1, max_size=4))))
+        elif lines:
+            at = min(at, len(lines) - 1)
+            if kind == "delete":
+                del lines[at]
+            else:
+                fields = lines[at].split() or [""]
+                fields[draw(st.integers(0, len(fields) - 1))] = draw(TOKENS)
+                lines[at] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_fixtures())
+def test_parse_instance_fails_only_with_instance_format_error(text):
+    try:
+        cluspt.parse_instance(text)
+    except InstanceFormatError:
+        pass

@@ -7,7 +7,6 @@ from mfltga.errors import InvalidStateError
 from mfltga.linkage import (
     build_all_trees,
     build_tree,
-    pairwise_distance,
     proximity_matrix,
 )
 from mfltga.mfo import TaskDefinition, initialize_population
@@ -22,45 +21,43 @@ def sum_task(task_id, dimension, alphabet=2):
     )
 
 
-def test_pairwise_distance_hand_values():
+def pair_distance(x, y):
+    """Distance between two gene columns through the proximity matrix."""
+    return proximity_matrix(list(zip(x, y)))[0, 1]
+
+
+def test_proximity_matrix_hand_values():
     # identical columns share all information
-    assert pairwise_distance([0, 0, 1, 1], [0, 0, 1, 1]) == 0.0
+    assert pair_distance([0, 0, 1, 1], [0, 0, 1, 1]) == 0.0
     # a deterministic relabeling is still fully dependent
-    assert pairwise_distance([0, 0, 1, 1], [1, 1, 0, 0]) == 0.0
+    assert pair_distance([0, 0, 1, 1], [1, 1, 0, 0]) == 0.0
     # independent columns: H(x) = H(y) = 1, H(x, y) = 2
-    assert pairwise_distance([0, 0, 1, 1], [0, 1, 0, 1]) == pytest.approx(1.0)
+    assert pair_distance([0, 0, 1, 1], [0, 1, 0, 1]) == pytest.approx(1.0)
     # a constant column shares nothing with a varying one
-    assert pairwise_distance([0, 0, 0, 0], [0, 1, 0, 1]) == pytest.approx(1.0)
+    assert pair_distance([0, 0, 0, 0], [0, 1, 0, 1]) == pytest.approx(1.0)
     # two constants: joint entropy 0, distance 0 by convention
-    assert pairwise_distance([1, 1], [1, 1]) == 0.0
+    assert pair_distance([1, 1], [1, 1]) == 0.0
     # partial dependence, computed by hand from the entropy definition
-    assert pairwise_distance([0, 0, 0, 1], [0, 0, 1, 1]) == pytest.approx(0.79248125)
+    assert pair_distance([0, 0, 0, 1], [0, 0, 1, 1]) == pytest.approx(0.79248125)
 
 
-def test_pairwise_distance_is_label_invariant():
+def test_proximity_matrix_is_label_invariant():
     rng = random.Random(2)
     for _ in range(50):
         x = [rng.randrange(3) for _ in range(30)]
         y = [rng.randrange(3) for _ in range(30)]
         relabeled = [(g + 1) % 3 for g in x]
-        assert pairwise_distance(x, y) == pytest.approx(pairwise_distance(relabeled, y))
+        assert pair_distance(x, y) == pytest.approx(pair_distance(relabeled, y))
 
 
-def test_pairwise_distance_bounds_and_symmetry():
+def test_proximity_matrix_bounds_and_symmetry():
     rng = random.Random(7)
     for _ in range(100):
         x = [rng.randrange(4) for _ in range(20)]
         y = [rng.randrange(4) for _ in range(20)]
-        d = pairwise_distance(x, y)
+        d = pair_distance(x, y)
         assert 0.0 <= d <= 1.0 + 1e-12
-        assert d == pytest.approx(pairwise_distance(y, x))
-
-
-def test_pairwise_distance_validation():
-    with pytest.raises(InvalidStateError):
-        pairwise_distance([0, 1], [0, 1, 0])
-    with pytest.raises(InvalidStateError):
-        pairwise_distance([], [])
+        assert d == pytest.approx(pair_distance(y, x))
 
 
 def test_proximity_matrix_shape():
@@ -69,7 +66,7 @@ def test_proximity_matrix_shape():
     assert dist.shape == (3, 3)
     assert np.allclose(dist, dist.T)
     assert np.all(np.diag(dist) == 0.0)
-    assert dist[0, 2] == pytest.approx(pairwise_distance([0, 0, 1, 1], [1, 1, 0, 0]))
+    assert dist[0, 2] == pytest.approx(pair_distance([0, 0, 1, 1], [1, 1, 0, 0]))
 
 
 def test_proximity_matrix_validation():

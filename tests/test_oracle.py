@@ -64,9 +64,12 @@ def test_dtf_oracle_refuses_large_instances():
 
 def test_reference_cost_matches_engine_evaluator():
     rng = random.Random(3)
-    for spec in (trap.TrapSpec(3, 4), trap.TrapSpec(5, 3)):
-        for _ in range(500):
-            bits = [rng.randrange(2) for _ in range(spec.length)]
+    specs = [trap.TrapSpec(k, m) for k in range(1, 7) for m in (1, 2, 3, 5)]
+    for spec in specs:
+        for _ in range(100):
+            # a per-genotype ones rate makes all-ones and all-zeros blocks common
+            p = rng.random()
+            bits = [int(rng.random() < p) for _ in range(spec.length)]
             assert reference_trap_cost(bits, spec.block_size, spec.num_blocks) == trap.evaluate(
                 spec, bits
             )

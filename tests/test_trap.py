@@ -1,50 +1,71 @@
 import random
 
+import numpy as np
 import pytest
 
 from mfltga.errors import ConfigurationError
 from mfltga.problems import trap
 
 
+def one_block(bits):
+    return trap.evaluate(trap.TrapSpec(len(bits), 1), bits)
+
+
 def test_block_score_cases():
-    assert trap.trap_block([1, 1, 1, 1, 1]) == 5
-    assert trap.trap_block([0, 0, 0, 0, 0]) == 4
-    assert trap.trap_block([1, 1, 0, 1, 0]) == 1
-    assert trap.trap_block([1]) == 1
-    assert trap.trap_block([0]) == 0
+    assert one_block([1, 1, 1, 1, 1]) == 0
+    assert one_block([0, 0, 0, 0, 0]) == 1
+    assert one_block([1, 1, 0, 1, 0]) == 4
+    assert one_block([1]) == 0
+    assert one_block([0]) == 1
 
 
 def test_block_rejects_non_bits():
-    with pytest.raises(ConfigurationError):
-        trap.trap_block([0, 2, 1])
-    with pytest.raises(ConfigurationError):
-        trap.trap_block([])
+    with pytest.raises(ConfigurationError, match="gene 2 "):
+        one_block([0, 2, 1])
+    for bad in (2, -1):
+        bits = [1] * 9
+        bits[7] = bad
+        with pytest.raises(ConfigurationError, match=f"gene {bad} at position 7"):
+            trap.evaluate(trap.TrapSpec(3, 3), bits)
 
 
 def test_block_deception_all_zeros_is_second_best():
-    # over every k-bit block the all-zeros score k-1 is beaten only by all-ones
+    # over every k-bit block the all-zeros cost 1 is beaten only by all-ones
     for k in range(1, 7):
-        scores = {}
+        costs = {}
         for word in range(2 ** k):
             bits = [(word >> i) & 1 for i in range(k)]
-            scores[word] = trap.trap_block(bits)
-        assert scores[2 ** k - 1] == k
-        others = [s for w, s in scores.items() if w != 2 ** k - 1]
-        assert max(others) == k - 1
-        assert scores[0] == k - 1
+            costs[word] = one_block(bits)
+        assert costs[2 ** k - 1] == 0
+        others = [c for w, c in costs.items() if w != 2 ** k - 1]
+        assert min(others) == 1
+        assert costs[0] == 1
 
 
 def test_evaluate_hand_cases():
     assert trap.evaluate(trap.TrapSpec(3, 5), [1] * 15) == 0
-    assert trap.trap_value(trap.TrapSpec(3, 3), [0, 0, 0, 1, 1, 1, 0, 0, 0]) == 7
+    # value 2 + 3 + 2 = 7
     assert trap.evaluate(trap.TrapSpec(3, 3), [0, 0, 0, 1, 1, 1, 0, 0, 0]) == 2
-    assert trap.trap_value(trap.TrapSpec(4, 1), [0, 1, 1, 1]) == 0
+    # value 0
     assert trap.evaluate(trap.TrapSpec(4, 1), [0, 1, 1, 1]) == 4
+    assert trap.evaluate(trap.TrapSpec(2, 3), [0, 1, 1, 1, 0, 0]) == 3
+    assert isinstance(trap.evaluate(trap.TrapSpec(2, 3), [0, 1, 1, 1, 0, 0]), int)
 
 
 def test_evaluate_rejects_wrong_length():
-    with pytest.raises(ConfigurationError):
+    message = "genotype length 14 does not match instance length 15"
+    with pytest.raises(ConfigurationError, match=message):
         trap.evaluate(trap.TrapSpec(3, 5), [1] * 14)
+
+
+def test_evaluate_accepts_tuples_and_arrays():
+    rng = random.Random(5)
+    spec = trap.TrapSpec(5, 4)
+    for _ in range(50):
+        bits = [rng.randrange(2) for _ in range(spec.length)]
+        cost = trap.evaluate(spec, bits)
+        assert trap.evaluate(spec, tuple(bits)) == cost
+        assert trap.evaluate(spec, np.array(bits)) == cost
 
 
 def test_value_is_additive_over_blocks():
@@ -53,11 +74,10 @@ def test_value_is_additive_over_blocks():
     for _ in range(200):
         bits = [rng.randrange(2) for _ in range(spec.length)]
         per_block = sum(
-            trap.trap_block(bits[s : s + spec.block_size])
+            one_block(bits[s : s + spec.block_size])
             for s in range(0, spec.length, spec.block_size)
         )
-        assert trap.trap_value(spec, bits) == per_block
-        assert trap.evaluate(spec, bits) == spec.length - per_block
+        assert trap.evaluate(spec, bits) == per_block
 
 
 def test_spec_validation():
