@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
+from .errors import ConfigurationError
 from .linkage import build_all_trees
 from .mfo import (
     Population,
@@ -59,6 +60,22 @@ class RunRecord:
         }
 
 
+def validate_run_parameters(
+    pop_size: int, max_evals: int, max_p: int, mutation_rate: float, trace_every: int
+) -> None:
+    """Raise ConfigurationError on a run parameter outside its domain."""
+    if pop_size < 2 or pop_size % 2 != 0:
+        raise ConfigurationError("population size must be even and >= 2")
+    if max_evals < 0:
+        raise ConfigurationError("max_evals must be >= 0")
+    if max_p < 0:
+        raise ConfigurationError("max_p must be >= 0")
+    if not 0.0 <= mutation_rate <= 1.0:
+        raise ConfigurationError("mutation rate must lie in [0, 1]")
+    if trace_every < 1:
+        raise ConfigurationError("trace_every must be >= 1")
+
+
 def run_mfltga(
     tasks: Sequence[TaskDefinition],
     *,
@@ -69,7 +86,11 @@ def run_mfltga(
     mutation_rate: float = 0.05,
     trace_every: int = 1,
 ) -> RunRecord:
-    """Run the full loop on the given tasks with a dedicated seeded RNG."""
+    """Run the full loop on the given tasks with a dedicated seeded RNG.
+
+    Raises ConfigurationError on a bad keyword value before any evaluation.
+    """
+    validate_run_parameters(pop_size, max_evals, max_p, mutation_rate, trace_every)
     rng = random.Random(seed)
     start = time.perf_counter()
     pop = initialize_population(tasks, pop_size, rng)

@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .engine import RunRecord, run_mfltga
+from .engine import RunRecord, run_mfltga, validate_run_parameters
 from .errors import ConfigurationError
 from .problems import cluspt, trap
 
@@ -53,19 +53,20 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "give one problem (replicated across tasks) or exactly one per task"
             )
-        if self.pop_size < 2 or self.pop_size % 2 != 0:
-            raise ConfigurationError("population size must be even and >= 2")
-        if self.max_evals < 0:
-            raise ConfigurationError("max_evals must be >= 0")
         if self.runs < 1:
             raise ConfigurationError("runs must be >= 1")
-        if self.max_p < 0:
-            raise ConfigurationError("max_p must be >= 0")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ConfigurationError("mutation rate must lie in [0, 1]")
-        if self.trace_every < 1:
-            raise ConfigurationError("trace_every must be >= 1")
+        validate_run_parameters(**self._run_parameters())
         return self
+
+    def _run_parameters(self) -> dict:
+        """The run_mfltga keyword values this config fixes for every run."""
+        return dict(
+            pop_size=self.pop_size,
+            max_evals=self.max_evals,
+            max_p=self.max_p,
+            mutation_rate=self.mutation_rate,
+            trace_every=self.trace_every,
+        )
 
     def run_seed(self, run_index: int) -> int:
         return self.seed ^ run_index
@@ -93,7 +94,10 @@ def _parse_descriptor(text: str):
             key, eq, value = part.partition("=")
             if not eq:
                 raise ConfigurationError(f"malformed dtf parameter {part!r}")
-            params[key.strip()] = value.strip()
+            key = key.strip()
+            if key in params:
+                raise ConfigurationError(f"repeated dtf parameter {key!r} in {text!r}")
+            params[key] = value.strip()
         try:
             spec = trap.TrapSpec(int(params.pop("k")), int(params.pop("m")))
         except KeyError as missing:
@@ -151,18 +155,8 @@ def resolve_tasks(config: ExperimentConfig):
 
 def _runs(config: ExperimentConfig, tasks) -> list:
     """One run_mfltga call per run index r, seeded with config.run_seed(r)."""
-    return [
-        run_mfltga(
-            tasks,
-            pop_size=config.pop_size,
-            max_evals=config.max_evals,
-            seed=config.run_seed(r),
-            max_p=config.max_p,
-            mutation_rate=config.mutation_rate,
-            trace_every=config.trace_every,
-        )
-        for r in range(config.runs)
-    ]
+    params = config._run_parameters()
+    return [run_mfltga(tasks, seed=config.run_seed(r), **params) for r in range(config.runs)]
 
 
 def run_st(config: ExperimentConfig):

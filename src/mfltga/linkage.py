@@ -52,24 +52,6 @@ class LinkageTree:
         )
         return [self.clusters[i] for i in order]
 
-    def dump(self) -> str:
-        """Indented text rendering of the merge hierarchy (for debugging/goldens)."""
-        lines = []
-
-        def walk(node, depth):
-            label = "{" + ",".join(str(g) for g in self.clusters[node]) + "}"
-            dist = self.merge_distance[node]
-            if dist is not None:
-                label += f" d={dist:.6f}"
-            lines.append("  " * depth + label)
-            if self.children[node] is not None:
-                lo, hi = self.children[node]
-                walk(lo, depth + 1)
-                walk(hi, depth + 1)
-
-        walk(self.root, 0)
-        return "\n".join(lines)
-
 
 def _entropy_bits(counts: np.ndarray) -> float:
     total = counts.sum()

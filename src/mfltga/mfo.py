@@ -77,7 +77,8 @@ class EvalLedger:
     single-task and multitask runs.  Also records the best cost seen per task
     and the task's call count at the first evaluation that reached its known
     optimum.  A non-finite cost is a broken objective and raises
-    ConfigurationError.
+    ConfigurationError.  The ledger only counts: callers store the returned
+    cost themselves.
     """
 
     def __init__(self, tasks: Sequence[TaskDefinition]):
@@ -87,10 +88,10 @@ class EvalLedger:
         self.best = [math.inf] * len(self.tasks)
         self.first_success = [None] * len(self.tasks)
 
-    def evaluate(self, ind: Individual, task_id: int) -> float:
+    def evaluate(self, genotype: Sequence[int], task_id: int) -> float:
         idx = task_id - 1
         task = self.tasks[idx]
-        cost = float(task.objective(ind.genotype[: task.dimension]))
+        cost = float(task.objective(genotype[: task.dimension]))
         if not math.isfinite(cost):
             raise ConfigurationError(f"task {task_id}: objective returned non-finite cost {cost}")
         self.count += 1
@@ -100,7 +101,6 @@ class EvalLedger:
         opt = task.known_optimum
         if opt is not None and self.first_success[idx] is None and cost <= opt + 1e-9:
             self.first_success[idx] = self.task_counts[idx]
-        ind.factorial_costs[idx] = cost
         return cost
 
     def all_known_solved(self) -> bool:
@@ -152,16 +152,12 @@ def initialize_population(tasks: Sequence[TaskDefinition], n: int, rng) -> Popul
     if n < 2 or n % 2 != 0:
         raise ConfigurationError(f"population size must be even and >= 2, got {n}")
     ledger = EvalLedger(tasks)
-    k = len(tasks)
-    members = []
-    for _ in range(n):
-        members.append(Individual(random_genotype(tasks, rng), [None] * k, [None] * k))
-    pop = Population(members, ledger)
-    for ind in members:
-        for task in tasks:
-            ledger.evaluate(ind, task.task_id)
-    assign_ranks_and_skill(pop)
-    return pop
+    genotypes = [random_genotype(tasks, rng) for _ in range(n)]
+    members = [
+        Individual(genes, [ledger.evaluate(genes, t.task_id) for t in tasks], [None] * len(tasks))
+        for genes in genotypes
+    ]
+    return assign_ranks_and_skill(Population(members, ledger))
 
 
 def _rank_members(members: Sequence[Individual], num_tasks: int) -> None:

@@ -4,10 +4,10 @@ The mating flow pairs the population at random.  Parents sharing a skill
 factor recombine inside that task; mixed pairs flip a fair coin for the task,
 and the parent whose task lost the coin is copied unchanged into the backup
 pool.  Crossover walks the selected task's linkage tree top down, swapping
-each cluster mask between the working pair and keeping the swap only when a
-candidate strictly beats both current parents on the selected task.  Pairs
-that survive a whole traversal unimproved accumulate punishment; past the
-threshold the pair is replaced by fresh random individuals.
+each cluster mask in place between the working pair and undoing the swap
+unless a child strictly beats both current parents on the selected task.
+Pairs that survive a whole traversal unimproved accumulate punishment; past
+the threshold the pair is replaced by fresh random individuals.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConfigurationError, InvalidStateError
-from .linkage import LinkageTree
 from .mfo import (
     EvalLedger,
     Individual,
@@ -41,50 +40,55 @@ class MatingOutcome:
 def _fresh_individual(ledger: EvalLedger, task_id: int, rng) -> Individual:
     k = len(ledger.tasks)
     ind = Individual(random_genotype(ledger.tasks, rng), [None] * k, [None] * k)
-    ledger.evaluate(ind, task_id)
+    ind.factorial_costs[task_id - 1] = ledger.evaluate(ind.genotype, task_id)
     return ind
 
 
 def tree_crossover(
     parent_i: Individual,
     parent_j: Individual,
-    tree: LinkageTree,
+    masks: Sequence[Sequence[int]],
     task: TaskDefinition,
     max_p: int,
     rng,
     ledger: EvalLedger,
 ):
-    """Greedy mask-swap traversal of the linkage tree for one pair.
+    """Greedy mask-swap traversal of one task's crossover masks for one pair.
 
-    Every visited mask produces two candidates (both evaluated on the task);
-    the candidate pair replaces the working pair only when one candidate is
-    strictly better than both current working parents.  If the whole
-    traversal brings no replacement the pair's counter (the larger of the
-    parents' punish values) grows, and past max_p the pair restarts from two
-    fresh random individuals.  Both offspring carry the resulting counter.
+    Each mask's genes are swapped in place between the working copies of the
+    parents and both are evaluated on the task; the swap is kept only when one
+    child strictly beats both current costs, else it is swapped back.  If no
+    swap is kept the pair's counter (the larger parent punish value) grows,
+    and past max_p the pair restarts from two fresh random individuals.  Both
+    offspring carry the resulting counter.
     """
     tid = task.task_id
+    idx = tid - 1
     off_i = parent_i.working_copy()
     off_j = parent_j.working_copy()
     for off in (off_i, off_j):
-        if off.factorial_costs[tid - 1] is None:
-            ledger.evaluate(off, tid)
+        if off.factorial_costs[idx] is None:
+            off.factorial_costs[idx] = ledger.evaluate(off.genotype, tid)
+    gi, gj = off_i.genotype, off_j.genotype
+    cost_i, cost_j = off_i.factorial_costs[idx], off_j.factorial_costs[idx]
     improved = False
-    k = len(ledger.tasks)
-    for mask in tree.crossover_masks():
-        cand_i = Individual(list(off_i.genotype), [None] * k, [None] * k)
-        cand_j = Individual(list(off_j.genotype), [None] * k, [None] * k)
+    for mask in masks:
         for g in mask:
-            cand_i.genotype[g] = off_j.genotype[g]
-            cand_j.genotype[g] = off_i.genotype[g]
-        cost_ci = ledger.evaluate(cand_i, tid)
-        cost_cj = ledger.evaluate(cand_j, tid)
-        best_current = min(off_i.factorial_costs[tid - 1], off_j.factorial_costs[tid - 1])
-        if min(cost_ci, cost_cj) < best_current:
-            off_i, off_j = cand_i, cand_j
+            gi[g], gj[g] = gj[g], gi[g]
+        new_i = ledger.evaluate(gi, tid)
+        new_j = ledger.evaluate(gj, tid)
+        if min(new_i, new_j) < min(cost_i, cost_j):
+            cost_i, cost_j = new_i, new_j
             improved = True
+        else:
+            for g in mask:
+                gi[g], gj[g] = gj[g], gi[g]
     if improved:
         n_p = 0
+        # changed genotypes hold a cost on the selected task only
+        for off, cost in ((off_i, cost_i), (off_j, cost_j)):
+            off.factorial_costs = [None] * len(ledger.tasks)
+            off.factorial_costs[idx] = cost
     else:
         n_p = max(parent_i.punish, parent_j.punish) + 1
         if n_p > max_p:
@@ -120,7 +124,7 @@ def mutate(ind: Individual, rate: float, rng, alphabet_size: int) -> Individual:
 
 def assortative_mating(
     pop: Population,
-    trees: Sequence[LinkageTree],
+    trees: Sequence,
     rng,
     *,
     max_p: int = 10,
@@ -128,14 +132,16 @@ def assortative_mating(
 ) -> MatingOutcome:
     """One generation of pairing, task selection and tree crossover.
 
-    Returns the best offspring of each pair (evaluated on the pair's selected
-    task, skill factor imitating it) plus the backup pool of unmodified
-    parents whose skill task lost the coin flip.
+    trees holds one linkage tree per task; each tree's crossover masks are
+    sorted once here and shared by every pair that selects its task.  Returns
+    the best offspring of each pair (evaluated on the pair's selected task,
+    skill factor imitating it) plus the backup pool of unmodified parents
+    whose skill task lost the coin flip.
     """
     members = pop.members
     if len(members) % 2 != 0:
         raise InvalidStateError("population size must be even to form pairs")
-    by_task = {tree.task_id: tree for tree in trees}
+    masks_by_task = {tree.task_id: tree.crossover_masks() for tree in trees}
     task_by_id = {t.task_id: t for t in pop.tasks}
     alphabet = unified_alphabet(pop.tasks)
     order = list(range(len(members)))
@@ -149,15 +155,15 @@ def assortative_mating(
         else:
             selected = pa.skill_factor if rng.random() < 0.5 else pb.skill_factor
             backup.append(pb if selected == pa.skill_factor else pa)
-        tree = by_task.get(selected)
-        if tree is None:
+        masks = masks_by_task.get(selected)
+        if masks is None:
             raise InvalidStateError(f"no linkage tree supplied for task {selected}")
-        off_i, off_j = tree_crossover(pa, pb, tree, task_by_id[selected], max_p, rng, pop.ledger)
+        off_i, off_j = tree_crossover(pa, pb, masks, task_by_id[selected], max_p, rng, pop.ledger)
         if mutation_rate > 0.0:
             for off in (off_i, off_j):
                 mutate(off, mutation_rate, rng, alphabet)
                 if off.factorial_costs[selected - 1] is None:
-                    pop.ledger.evaluate(off, selected)
+                    off.factorial_costs[selected - 1] = pop.ledger.evaluate(off.genotype, selected)
         off_i.skill_factor = selected
         off_j.skill_factor = selected
         if off_i.factorial_costs[selected - 1] <= off_j.factorial_costs[selected - 1]:

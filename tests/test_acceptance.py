@@ -285,7 +285,7 @@ def test_a8_structural_invariants():
         tree = build_tree(1, rows)
         before = [sorted((pair[0].genotype[g], pair[1].genotype[g])) for g in range(10)]
         off_i, off_j = tree_crossover(
-            pair[0], pair[1], tree, task, 10**9, rng, ledger
+            pair[0], pair[1], tree.crossover_masks(), task, 10**9, rng, ledger
         )
         after = [sorted((off_i.genotype[g], off_j.genotype[g])) for g in range(10)]
         if before != after:

@@ -111,6 +111,11 @@ def test_bad_descriptor_exits_with_error(capsys):
     assert "error:" in err
 
 
+def test_repeated_dtf_parameter_exits_with_error(capsys):
+    assert main(["oracle", "--problem", "dtf:k=3,m=5,k=4"]) == 2
+    assert "repeated dtf parameter 'k'" in capsys.readouterr().err
+
+
 def test_bad_instance_file_exits_with_error(tmp_path, capsys):
     bad = tmp_path / "broken.cluspt"
     bad.write_text("DIMENSION: 2\nCLUSTERS: 1\nSOURCE: 1\n")

@@ -102,3 +102,30 @@ def test_non_finite_objective_aborts_the_run():
     task = TaskDefinition(task_id=1, dimension=4, alphabet_size=2, objective=lambda genes: math.nan)
     with pytest.raises(ConfigurationError, match="task 1: objective returned non-finite cost nan"):
         run_mfltga([task], pop_size=4, max_evals=100, seed=1)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (dict(pop_size=7), "population size must be even and >= 2"),
+        (dict(pop_size=0), "population size must be even and >= 2"),
+        (dict(max_evals=-1), "max_evals must be >= 0"),
+        (dict(max_p=-3), "max_p must be >= 0"),
+        (dict(mutation_rate=-0.5), r"mutation rate must lie in \[0, 1\]"),
+        (dict(mutation_rate=1.5), r"mutation rate must lie in \[0, 1\]"),
+        (dict(trace_every=0), "trace_every must be >= 1"),
+        (dict(trace_every=-1), "trace_every must be >= 1"),
+    ],
+)
+def test_bad_run_parameters_fail_before_any_evaluation(bad, message):
+    calls = []
+
+    def objective(genes):
+        calls.append(genes)
+        return 0.0
+
+    task = TaskDefinition(task_id=1, dimension=4, alphabet_size=2, objective=objective)
+    kwargs = dict(pop_size=4, max_evals=100, seed=1) | bad
+    with pytest.raises(ConfigurationError, match=message):
+        run_mfltga([task], **kwargs)
+    assert calls == []

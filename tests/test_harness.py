@@ -53,6 +53,7 @@ def test_config_validation():
         dict(problems=["dtf:k=3,m=5"], pop_size=7),
         dict(problems=["dtf:k=3,m=5"], max_evals=-1),
         dict(problems=["dtf:k=3,m=5"], runs=0),
+        dict(problems=["dtf:k=3,m=5"], max_p=-1),
         dict(problems=["dtf:k=3,m=5"], mutation_rate=1.5),
         dict(problems=["dtf:k=3,m=5"], trace_every=0),
     ]
@@ -89,6 +90,10 @@ def test_parse_problem_descriptor():
     ):
         with pytest.raises(ConfigurationError):
             parse_problem_descriptor(bad)
+    # a repeated key is an error, not a silent overwrite by the later value
+    for repeated, key in (("dtf:k=3,m=5,k=4", "k"), ("dtf:m=5, k=3,m=5", "m")):
+        with pytest.raises(ConfigurationError, match=f"repeated dtf parameter '{key}'"):
+            parse_problem_descriptor(repeated)
 
 
 def test_cluspt_descriptor_optimum_reaches_the_task():

@@ -175,15 +175,6 @@ def test_build_all_trees_falls_back_to_whole_population():
     tree_is_well_formed(trees[1])
 
 
-def test_dump_renders_every_gene():
-    rows = [[0, 1, 0], [1, 0, 1], [0, 0, 1], [1, 1, 0]]
-    tree = build_tree(1, rows)
-    text = tree.dump()
-    assert text.splitlines()[0].startswith("{0,1,2}")
-    for g in range(3):
-        assert f"{{{g}}}" in text
-
-
 def test_build_tree_matches_scipy_average_linkage():
     # scipy's UPGMA names the i-th merge L + i as build_tree does; on inputs
     # without tied distances both must merge the same pairs at the same heights

@@ -31,6 +31,13 @@ def fresh(genotype, k=2):
     return Individual(list(genotype), [None] * k, [None] * k)
 
 
+def evaluated(ledger, genotype):
+    """Individual holding the ledger's cost for it on every task."""
+    k = len(ledger.tasks)
+    costs = [ledger.evaluate(genotype, t.task_id) for t in ledger.tasks]
+    return Individual(list(genotype), costs, [None] * k)
+
+
 def test_task_definition_validation():
     with pytest.raises(ConfigurationError):
         sum_task(1, dimension=0)
@@ -42,40 +49,41 @@ def test_ledger_counts_every_call_once():
     tasks = [sum_task(1), sum_task(2, dimension=2)]
     ledger = EvalLedger(tasks)
     ind = fresh([1, 2, 0, 1])
-    assert ledger.evaluate(ind, 1) == 4.0
-    assert ledger.evaluate(ind, 2) == 3.0
-    assert ledger.evaluate(ind, 2) == 3.0
+    assert ledger.evaluate(ind.genotype, 1) == 4.0
+    assert ledger.evaluate(ind.genotype, 2) == 3.0
+    assert ledger.evaluate(ind.genotype, 2) == 3.0
     assert ledger.count == 3
     assert ledger.task_counts == [1, 2]
-    assert ind.factorial_costs == [4.0, 3.0]
+    # the ledger only counts; storing the cost is the caller's job
+    assert ind.factorial_costs == [None, None]
+    assert ind.genotype == [1, 2, 0, 1]
 
 
 def test_ledger_evaluates_on_the_task_prefix():
     tasks = [sum_task(1, dimension=2)]
     ledger = EvalLedger(tasks)
-    ind = fresh([1, 1, 2, 2], k=1)
-    assert ledger.evaluate(ind, 1) == 2.0
+    assert ledger.evaluate([1, 1, 2, 2], 1) == 2.0
 
 
 def test_ledger_tracks_best_and_first_success_per_task():
     tasks = [sum_task(1, optimum=0.0), sum_task(2, optimum=0.0)]
     ledger = EvalLedger(tasks)
-    ledger.evaluate(fresh([1, 1, 1, 1]), 1)
-    ledger.evaluate(fresh([1, 0, 0, 0]), 1)
+    ledger.evaluate([1, 1, 1, 1], 1)
+    ledger.evaluate([1, 0, 0, 0], 1)
     assert ledger.best == [1.0, float("inf")]
     assert ledger.first_success == [None, None]
     assert not ledger.all_known_solved()
-    ledger.evaluate(fresh([0, 0, 0, 0]), 2)
+    ledger.evaluate([0, 0, 0, 0], 2)
     # first success records the task's own call count, not the shared count
     assert ledger.first_success == [None, 1]
-    ledger.evaluate(fresh([0, 0, 0, 0]), 1)
+    ledger.evaluate([0, 0, 0, 0], 1)
     assert ledger.first_success == [3, 1]
     assert ledger.all_known_solved()
 
 
 def test_all_known_solved_is_false_without_declared_optima():
     ledger = EvalLedger([sum_task(1)])
-    ledger.evaluate(fresh([0, 0, 0, 0], k=1), 1)
+    ledger.evaluate([0, 0, 0, 0], 1)
     assert not ledger.all_known_solved()
 
 
@@ -84,10 +92,10 @@ def test_ledger_rejects_non_finite_costs(bad):
     broken = TaskDefinition(task_id=2, dimension=4, alphabet_size=3, objective=lambda genes: bad)
     ledger = EvalLedger([sum_task(1), broken])
     ind = fresh([0, 1, 2, 0])
-    ledger.evaluate(ind, 1)
+    ind.factorial_costs[0] = ledger.evaluate(ind.genotype, 1)
     message = f"task 2: objective returned non-finite cost {bad}"
     with pytest.raises(ConfigurationError, match=re.escape(message)):
-        ledger.evaluate(ind, 2)
+        ind.factorial_costs[1] = ledger.evaluate(ind.genotype, 2)
     assert ledger.count == 1
     assert ind.factorial_costs == [3.0, None]
 
@@ -141,10 +149,8 @@ def test_rank_properties_on_random_populations():
 def test_rank_ties_keep_insertion_order():
     tasks = [sum_task(1, dimension=2)]
     ledger = EvalLedger(tasks)
-    a = fresh([1, 0], k=1)
-    b = fresh([0, 1], k=1)
-    ledger.evaluate(a, 1)
-    ledger.evaluate(b, 1)
+    a = evaluated(ledger, [1, 0])
+    b = evaluated(ledger, [0, 1])
     pop = Population([a, b], ledger)
     assign_ranks_and_skill(pop)
     assert a.factorial_ranks == [1]
@@ -174,15 +180,10 @@ def test_members_without_any_cost_are_rejected():
 def test_select_fittest_truncates_by_scalar_fitness():
     tasks = [sum_task(1, dimension=2)]
     ledger = EvalLedger(tasks)
-    members = []
-    for cost_genes in ([0, 0], [1, 0], [1, 1], [2, 1]):
-        ind = fresh(cost_genes, k=1)
-        ledger.evaluate(ind, 1)
-        members.append(ind)
+    members = [evaluated(ledger, genes) for genes in ([0, 0], [1, 0], [1, 1], [2, 1])]
     pop = Population(members, ledger)
     assign_ranks_and_skill(pop)
-    extra = fresh([0, 1], k=1)
-    ledger.evaluate(extra, 1)
+    extra = evaluated(ledger, [0, 1])
     out = select_fittest(pop, Population([extra], ledger), 2)
     costs = sorted(ind.factorial_costs[0] for ind in out.members)
     assert costs == [0.0, 1.0]
@@ -193,10 +194,8 @@ def test_select_fittest_unions_by_identity():
     # a parent also present in the intermediate pool is counted once
     tasks = [sum_task(1, dimension=2)]
     ledger = EvalLedger(tasks)
-    a = fresh([0, 0], k=1)
-    b = fresh([1, 1], k=1)
-    for ind in (a, b):
-        ledger.evaluate(ind, 1)
+    a = evaluated(ledger, [0, 0])
+    b = evaluated(ledger, [1, 1])
     pop = Population([a, b], ledger)
     assign_ranks_and_skill(pop)
     with pytest.raises(InvalidStateError):
@@ -208,13 +207,11 @@ def test_select_fittest_unions_by_identity():
 def test_select_fittest_reranks_the_union():
     tasks = [sum_task(1, dimension=2)]
     ledger = EvalLedger(tasks)
-    stale = fresh([2, 2], k=1)
-    ledger.evaluate(stale, 1)
+    stale = evaluated(ledger, [2, 2])
     pop = Population([stale], ledger)
     assign_ranks_and_skill(pop)
     assert stale.factorial_ranks == [1]
-    better = fresh([0, 0], k=1)
-    ledger.evaluate(better, 1)
+    better = evaluated(ledger, [0, 0])
     out = select_fittest(pop, Population([better], ledger), 2)
     assert stale.factorial_ranks == [2]
     assert better.factorial_ranks == [1]

@@ -54,18 +54,17 @@ def make_pop(tasks, genotypes, skills):
     k = len(tasks)
     members = []
     for genes, skill in zip(genotypes, skills):
-        ind = Individual(list(genes), [None] * k, [None] * k)
-        for t in tasks:
-            ledger.evaluate(ind, t.task_id)
+        costs = [ledger.evaluate(genes, t.task_id) for t in tasks]
+        ind = Individual(list(genes), costs, [None] * k)
         ind.skill_factor = skill
         members.append(ind)
     return Population(members, ledger)
 
 
-def paired_tree(task_id=1):
-    """Tree over 4 genes merging {0,1} and {2,3} first."""
+def paired_masks(task_id=1):
+    """Masks of a tree over 4 genes merging {0,1} and {2,3} first."""
     rows = [[0, 0, 1, 1], [1, 1, 0, 0]]
-    return build_tree(task_id, rows)
+    return build_tree(task_id, rows).crossover_masks()
 
 
 def test_tree_crossover_takes_improving_swaps():
@@ -73,7 +72,7 @@ def test_tree_crossover_takes_improving_swaps():
     pop = make_pop(tasks, [[1, 1, 0, 0], [0, 0, 1, 1]], [1, 1])
     pa, pb = pop.members
     rng = ScriptedRandom()
-    off_i, off_j = tree_crossover(pa, pb, paired_tree(), tasks[0], 10, rng, pop.ledger)
+    off_i, off_j = tree_crossover(pa, pb, paired_masks(), tasks[0], 10, rng, pop.ledger)
     # the first mask swap of {2, 3} already separates the pair into the two
     # uniform genotypes, and no later swap beats cost 0
     assert sorted([off_i.genotype, off_j.genotype]) == [[0, 0, 0, 0], [1, 1, 1, 1]]
@@ -94,7 +93,8 @@ def test_tree_crossover_preserves_position_multisets():
         rows = [[rng.randrange(2) for _ in range(6)] for _ in range(8)]
         tree = build_tree(1, rows)
         off_i, off_j = tree_crossover(
-            pop.members[0], pop.members[1], tree, tasks[0], 10 ** 6, rng, pop.ledger
+            pop.members[0], pop.members[1], tree.crossover_masks(), tasks[0], 10 ** 6, rng,
+            pop.ledger,
         )
         for g in range(6):
             assert sorted([off_i.genotype[g], off_j.genotype[g]]) == sorted([ga[g], gb[g]])
@@ -103,11 +103,10 @@ def test_tree_crossover_preserves_position_multisets():
 def test_tree_crossover_charges_two_evals_per_mask():
     tasks = [flat_task(1)]
     pop = make_pop(tasks, [[0, 1, 0, 1], [1, 0, 1, 0]], [1, 1])
-    tree = paired_tree()
+    masks = paired_masks()
     before = pop.ledger.count
-    tree_crossover(pop.members[0], pop.members[1], tree, tasks[0], 10, ScriptedRandom(), pop.ledger)
-    masks = len(tree.crossover_masks())
-    assert pop.ledger.count - before == 2 * masks
+    tree_crossover(pop.members[0], pop.members[1], masks, tasks[0], 10, ScriptedRandom(), pop.ledger)
+    assert pop.ledger.count - before == 2 * len(masks)
 
 
 def test_tree_crossover_evaluates_unevaluated_parents_on_entry():
@@ -115,9 +114,9 @@ def test_tree_crossover_evaluates_unevaluated_parents_on_entry():
     ledger = EvalLedger(tasks)
     pa = Individual([0, 1, 0, 1], [None], [None])
     pb = Individual([1, 0, 1, 0], [None], [None])
-    tree = paired_tree()
-    tree_crossover(pa, pb, tree, tasks[0], 10, ScriptedRandom(), ledger)
-    assert ledger.count == 2 + 2 * len(tree.crossover_masks())
+    masks = paired_masks()
+    tree_crossover(pa, pb, masks, tasks[0], 10, ScriptedRandom(), ledger)
+    assert ledger.count == 2 + 2 * len(masks)
 
 
 def test_tree_crossover_stagnation_increments_punishment():
@@ -126,7 +125,7 @@ def test_tree_crossover_stagnation_increments_punishment():
     pop.members[0].punish = 4
     pop.members[1].punish = 2
     off_i, off_j = tree_crossover(
-        pop.members[0], pop.members[1], paired_tree(), tasks[0], 10, ScriptedRandom(), pop.ledger
+        pop.members[0], pop.members[1], paired_masks(), tasks[0], 10, ScriptedRandom(), pop.ledger
     )
     assert off_i.punish == 5 and off_j.punish == 5
     # no swap was kept, so the working pair still mirrors the parents
@@ -137,18 +136,41 @@ def test_tree_crossover_stagnation_increments_punishment():
 def test_tree_crossover_restarts_past_threshold():
     tasks = [flat_task(1)]
     pop = make_pop(tasks, [[0, 1, 0, 1], [1, 0, 1, 0]], [1, 1])
-    tree = paired_tree()
+    masks = paired_masks()
     pop.members[0].punish = 10
     rng = ScriptedRandom(randranges=[1, 1, 1, 1, 0, 0, 0, 0])
     before = pop.ledger.count
     off_i, off_j = tree_crossover(
-        pop.members[0], pop.members[1], tree, tasks[0], 10, rng, pop.ledger
+        pop.members[0], pop.members[1], masks, tasks[0], 10, rng, pop.ledger
     )
     assert off_i.punish == 0 and off_j.punish == 0
     assert off_i.genotype == [1, 1, 1, 1]
     assert off_j.genotype == [0, 0, 0, 0]
     # the two replacement individuals are evaluated as well
-    assert pop.ledger.count - before == 2 * len(tree.crossover_masks()) + 2
+    assert pop.ledger.count - before == 2 * len(masks) + 2
+
+
+def test_tree_crossover_leaves_parents_and_sets_offspring_costs():
+    # a kept swap: offspring hold a cost on the selected task only
+    tasks = [sum_task(1), sum_task(2)]
+    pop = make_pop(tasks, [[1, 1, 0, 0], [0, 0, 1, 1]], [1, 1])
+    pa, pb = pop.members
+    off_i, off_j = tree_crossover(pa, pb, paired_masks(), tasks[0], 10, ScriptedRandom(), pop.ledger)
+    assert off_i.punish == 0
+    assert sorted([off_i.factorial_costs, off_j.factorial_costs]) == [[0.0, None], [4.0, None]]
+    assert (pa.genotype, pa.factorial_costs) == ([1, 1, 0, 0], [2.0, 2.0])
+    assert (pb.genotype, pb.factorial_costs) == ([0, 0, 1, 1], [2.0, 2.0])
+    # no kept swap: each offspring keeps its parent's costs on every task
+    tasks = [flat_task(1), sum_task(2)]
+    pop = make_pop(tasks, [[0, 1, 0, 1], [1, 1, 1, 0]], [1, 1])
+    pa, pb = pop.members
+    off_i, off_j = tree_crossover(pa, pb, paired_masks(), tasks[0], 10, ScriptedRandom(), pop.ledger)
+    assert off_i.punish == 1
+    assert off_i.factorial_costs == [0.0, 2.0]
+    assert off_j.factorial_costs == [0.0, 3.0]
+    assert (pa.genotype, pa.factorial_costs) == ([0, 1, 0, 1], [0.0, 2.0])
+    assert (pb.genotype, pb.factorial_costs) == ([1, 1, 1, 0], [0.0, 3.0])
+    assert off_i.factorial_costs is not pa.factorial_costs
 
 
 def test_mutate_rate_zero_is_identity():

@@ -1,0 +1,94 @@
+"""tree_crossover against the reference copy in variation_reference.py.
+
+The in-place swap with undo must leave the same offspring, the same ledger
+and the same RNG state as the former candidate-building traversal, over
+seeded pairs on one to three tasks of mixed dimensions, with kept swaps,
+stagnation and restarts all exercised.
+"""
+import copy
+import random
+from collections import Counter
+
+import pytest
+
+import variation_reference
+from mfltga.linkage import build_tree
+from mfltga.mfo import EvalLedger, Individual, TaskDefinition, unified_alphabet
+from mfltga.variation import tree_crossover
+
+
+def rugged_task(task_id, dimension, alphabet, seed):
+    """Weighted gene sum modulo 7: plateaus and ties, optimum 0 declared on task 1."""
+    weights = random.Random(seed).choices(range(1, 6), k=dimension)
+    return TaskDefinition(
+        task_id=task_id,
+        dimension=dimension,
+        alphabet_size=alphabet,
+        objective=lambda genes: float(sum(w * g for w, g in zip(weights, genes)) % 7),
+        known_optimum=0.0 if task_id == 1 else None,
+    )
+
+
+def random_parent(tasks, selected, max_p, rng):
+    """Parent with costs on a random subset of tasks, sometimes none on the selected one."""
+    dim = max(t.dimension for t in tasks)
+    genes = [rng.randrange(unified_alphabet(tasks)) for _ in range(dim)]
+    costs = [
+        t.objective(genes[: t.dimension]) if rng.random() < 0.5 else None for t in tasks
+    ]
+    if rng.random() < 0.5:
+        costs[selected - 1] = None
+    return Individual(genes, costs, [None] * len(tasks), punish=rng.randrange(max_p + 2))
+
+
+def ledger_state(ledger):
+    return ledger.count, ledger.task_counts, ledger.best, ledger.first_success
+
+
+@pytest.mark.parametrize("max_p", [0, 1, 10])
+@pytest.mark.parametrize("num_tasks", [1, 2, 3])
+def test_tree_crossover_matches_the_reference(num_tasks, max_p):
+    rng = random.Random(1000 * num_tasks + max_p)
+    outcomes = Counter()
+    for case in range(60):
+        tasks = [
+            rugged_task(tid, rng.randrange(3, 13), rng.randrange(2, 5), rng.random())
+            for tid in range(1, num_tasks + 1)
+        ]
+        task = rng.choice(tasks)
+        tid = task.task_id
+        parents = [random_parent(tasks, tid, max_p, rng) for _ in range(2)]
+        rows = [
+            [rng.randrange(unified_alphabet(tasks)) for _ in range(task.dimension)]
+            for _ in range(rng.randrange(2, 20))
+        ]
+        tree = build_tree(tid, rows)
+        seed = rng.random()
+
+        ref_ledger, ref_rng = EvalLedger(tasks), random.Random(seed)
+        ref = variation_reference.tree_crossover(
+            *copy.deepcopy(parents), tree, task, max_p, ref_rng, ref_ledger
+        )
+        new_ledger, new_rng = EvalLedger(tasks), random.Random(seed)
+        pi, pj = copy.deepcopy(parents)
+        new = tree_crossover(pi, pj, tree.crossover_masks(), task, max_p, new_rng, new_ledger)
+
+        for got, want in zip(new, ref):
+            assert got.genotype == want.genotype
+            assert got.factorial_costs == want.factorial_costs
+            assert got.punish == want.punish
+            assert got == want
+        assert ledger_state(new_ledger) == ledger_state(ref_ledger)
+        assert new_rng.getstate() == ref_rng.getstate()
+        assert [pi, pj] == parents
+
+        entry = sum(p.factorial_costs[tid - 1] is None for p in parents)
+        swaps = 2 * len(tree.crossover_masks())
+        if new_ledger.count == entry + swaps + 2:
+            outcomes["restart"] += 1
+        elif new[0].punish > 0:
+            outcomes["stagnation"] += 1
+        else:
+            outcomes["kept swap"] += 1
+    assert outcomes["kept swap"] > 0 and outcomes["restart"] > 0
+    assert (outcomes["stagnation"] > 0) == (max_p > 0)
