@@ -60,10 +60,23 @@ class RunRecord:
         }
 
 
+def require_int(name: str, value) -> None:
+    """Raise ConfigurationError unless value is an int (bool excluded)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{name} must be an int, got {value!r}")
+
+
 def validate_run_parameters(
     pop_size: int, max_evals: int, max_p: int, mutation_rate: float, trace_every: int
 ) -> None:
     """Raise ConfigurationError on a run parameter outside its domain."""
+    for name, value in (
+        ("pop_size", pop_size),
+        ("max_evals", max_evals),
+        ("max_p", max_p),
+        ("trace_every", trace_every),
+    ):
+        require_int(name, value)
     if pop_size < 2 or pop_size % 2 != 0:
         raise ConfigurationError("population size must be even and >= 2")
     if max_evals < 0:
@@ -102,7 +115,7 @@ def run_mfltga(
         outcome = assortative_mating(
             pop, trees, rng, max_p=max_p, mutation_rate=mutation_rate
         )
-        intermediate = Population(outcome.intermediate_pop, ledger)
+        intermediate = Population(outcome.offspring_pop + outcome.backup_pop, ledger)
         pop = select_fittest(pop, intermediate, pop_size)
         generation += 1
         if generation % trace_every == 0:

@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .engine import RunRecord, run_mfltga, validate_run_parameters
+from .engine import RunRecord, require_int, run_mfltga, validate_run_parameters
 from .errors import ConfigurationError
 from .problems import cluspt, trap
 
@@ -47,6 +47,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"mode must be 'st' or 'mt', got {self.mode!r}")
         if not self.problems:
             raise ConfigurationError("at least one problem descriptor is required")
+        for name in ("num_tasks", "runs", "seed"):
+            require_int(name, getattr(self, name))
         if self.num_tasks < 1:
             raise ConfigurationError("number of tasks must be >= 1")
         if len(self.problems) not in (1, self.num_tasks):
@@ -169,13 +171,6 @@ def run_mt(config: ExperimentConfig):
     return run_experiment(dataclasses.replace(config, mode="mt", out_path=None)).mt_records
 
 
-def performance_improvement(cost_a: float, cost_b: float) -> float:
-    """Relative improvement of metric A over reference metric B, in percent."""
-    if cost_b == 0:
-        raise ConfigurationError("performance improvement undefined: reference is zero")
-    return (cost_b - cost_a) / cost_b * 100.0
-
-
 @dataclass
 class SummaryRow:
     instance: str
@@ -259,14 +254,6 @@ def _normalized(init: float, value: float, bf_star: float) -> float:
     if span <= 0:
         return 0.0
     return min(1.0, max(0.0, (value - bf_star) / span))
-
-
-def normalized_objective(
-    record: RunRecord, task_pos: int, generation: int, bf_star: float
-) -> float:
-    """Best cost rescaled to [0, 1] between the run's initial best and bf_star."""
-    point = carried_trace(record)[min(generation, record.generations)]
-    return _normalized(record.trace[0].best[task_pos], point.best[task_pos], bf_star)
 
 
 def _bf_stars(result: ExperimentResult, num_tasks: int):

@@ -36,14 +36,6 @@ class LinkageTree:
     children: list
     merge_distance: list
 
-    @property
-    def num_genes(self) -> int:
-        return (len(self.clusters) + 1) // 2
-
-    @property
-    def root(self) -> int:
-        return len(self.clusters) - 1
-
     def crossover_masks(self):
         """All clusters except the root, largest first, recent merges first on ties."""
         order = sorted(
@@ -109,7 +101,7 @@ def build_tree(task_id: int, rows) -> LinkageTree:
     lexicographically smallest (min cluster id, max cluster id) wins.  A tree
     over L genes always holds exactly 2L-1 nodes.
     """
-    if not rows:
+    if len(rows) == 0:
         raise InvalidStateError("cannot build a linkage tree from an empty population")
     base = proximity_matrix(rows)
     n_genes = base.shape[0]

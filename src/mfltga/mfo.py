@@ -1,10 +1,11 @@
 """Multifactorial population bookkeeping on a unified search space.
 
 Every individual lives in one genotype space shared by all tasks (length =
-largest task dimension, genes drawn from the largest task alphabet).  Per-task
-quality is tracked as factorial costs; comparative quality as factorial ranks;
-a single scalar fitness and a skill factor summarize which task an individual
-is best at.
+largest task dimension, genes drawn from the largest task alphabet).  An
+individual keeps its genotype, its per-task factorial costs, its skill factor
+(the task it is best at) and its restart counter.  Factorial ranks and scalar
+fitness compare members of one pool, so they are computed over that pool at
+each ranking and never stored on an individual.
 """
 from __future__ import annotations
 
@@ -45,28 +46,18 @@ class TaskDefinition:
 
 @dataclass
 class Individual:
-    """A genotype plus its multifactorial bookkeeping.
+    """A genotype plus the state that carries over between generations.
 
     factorial_costs[j] is None until the individual has been evaluated on task
-    j+1; factorial_ranks mirror that layout.  skill_factor is a 1-based task id.
-    punish carries the no-improvement counter across generations.
+    j+1.  skill_factor is a 1-based task id, set at each ranking.  punish
+    carries the no-improvement counter across generations.  Factorial ranks
+    and scalar fitness are computed over the pool at each ranking.
     """
 
     genotype: list
     factorial_costs: list
-    factorial_ranks: list
-    scalar_fitness: Optional[float] = None
     skill_factor: Optional[int] = None
     punish: int = 0
-
-    def working_copy(self) -> "Individual":
-        """Copy for variation: same genotype and costs, ranks dropped."""
-        return Individual(
-            list(self.genotype),
-            list(self.factorial_costs),
-            [None] * len(self.factorial_ranks),
-            punish=self.punish,
-        )
 
 
 class EvalLedger:
@@ -154,52 +145,56 @@ def initialize_population(tasks: Sequence[TaskDefinition], n: int, rng) -> Popul
     ledger = EvalLedger(tasks)
     genotypes = [random_genotype(tasks, rng) for _ in range(n)]
     members = [
-        Individual(genes, [ledger.evaluate(genes, t.task_id) for t in tasks], [None] * len(tasks))
-        for genes in genotypes
+        Individual(genes, [ledger.evaluate(genes, t.task_id) for t in tasks]) for genes in genotypes
     ]
-    return assign_ranks_and_skill(Population(members, ledger))
+    rank_members(members, len(tasks))
+    return Population(members, ledger)
 
 
-def _rank_members(members: Sequence[Individual], num_tasks: int) -> None:
-    """Recompute factorial ranks, scalar fitness and skill factor in place.
+def factorial_ranks(members: Sequence[Individual], num_tasks: int) -> list:
+    """Rank table: ranks[i][j] is member i's factorial rank on task j+1.
 
-    Ranks on task j are 1..count over the members holding a cost on j,
-    ascending cost, ties in insertion order (stable sort).  Members without a
-    cost on j receive no rank there.  Skill-factor ties over equally ranked
-    tasks rotate with the member's position so that copies of one task split
-    the population evenly instead of all collapsing onto the lowest task id.
+    Ranks on task j+1 are 1..count over the members holding a cost on it,
+    ascending cost, ties in member order (stable sort).  A member without a
+    cost on a task gets None there.  The members are not modified.
+    """
+    ranks = [[None] * num_tasks for _ in members]
+    for j in range(num_tasks):
+        holders = [i for i, ind in enumerate(members) if ind.factorial_costs[j] is not None]
+        holders.sort(key=lambda i: members[i].factorial_costs[j])
+        for rank, i in enumerate(holders, start=1):
+            ranks[i][j] = rank
+    return ranks
+
+
+def rank_members(members: Sequence[Individual], num_tasks: int) -> list:
+    """Set each member's skill factor; return each member's scalar fitness.
+
+    Scalar fitness is 1 / best factorial rank and the skill factor is the task
+    holding that rank.  Ties over equally ranked tasks rotate with the
+    member's position so that copies of one task split the population evenly
+    instead of all collapsing onto the lowest task id.
     """
     for ind in members:
         if all(c is None for c in ind.factorial_costs):
             raise InvalidStateError("individual has no factorial cost on any task")
-        ind.factorial_ranks = [None] * num_tasks
-    for j in range(num_tasks):
-        ranked = [ind for ind in members if ind.factorial_costs[j] is not None]
-        ranked.sort(key=lambda ind: ind.factorial_costs[j])
-        for rank, ind in enumerate(ranked, start=1):
-            ind.factorial_ranks[j] = rank
-    for pos, ind in enumerate(members):
-        present = [(r, j) for j, r in enumerate(ind.factorial_ranks) if r is not None]
-        best = min(r for r, _ in present)
-        tied = [j for r, j in present if r == best]
-        ind.scalar_fitness = 1.0 / best
+    fitness = []
+    for pos, (ind, row) in enumerate(zip(members, factorial_ranks(members, num_tasks))):
+        best = min(r for r in row if r is not None)
+        tied = [j for j, r in enumerate(row) if r == best]
         ind.skill_factor = tied[pos % len(tied)] + 1
-
-
-def assign_ranks_and_skill(pop: Population) -> Population:
-    """Refresh ranks, scalar fitness and skill factors of a population."""
-    _rank_members(pop.members, len(pop.tasks))
-    return pop
+        fitness.append(1.0 / best)
+    return fitness
 
 
 def select_fittest(current: Population, intermediate: Population, n: int) -> Population:
     """Survivor selection over the union of current and intermediate pools.
 
     The union is by object identity, so parents that re-enter through the
-    backup pool are not double counted.  Ranks and scalar fitness are
-    recomputed over the union before truncation.  Ties on scalar fitness are
-    broken by the lower factorial cost on the individual's skill task, then
-    by pool order (current first).
+    backup pool are not double counted.  The union is ranked afresh before
+    truncation by scalar fitness.  Ties on scalar fitness are broken by the
+    lower factorial cost on the individual's skill task, then by pool order
+    (current first).
     """
     pool = []
     seen = set()
@@ -209,14 +204,10 @@ def select_fittest(current: Population, intermediate: Population, n: int) -> Pop
             pool.append(ind)
     if len(pool) < n:
         raise InvalidStateError(f"selection pool holds {len(pool)} < {n} individuals")
-    _rank_members(pool, len(current.tasks))
+    fitness = rank_members(pool, len(current.tasks))
     order = sorted(
         range(len(pool)),
-        key=lambda i: (
-            -pool[i].scalar_fitness,
-            pool[i].factorial_costs[pool[i].skill_factor - 1],
-            i,
-        ),
+        key=lambda i: (-fitness[i], pool[i].factorial_costs[pool[i].skill_factor - 1], i),
     )
     survivors = [pool[i] for i in order[:n]]
     return Population(survivors, current.ledger)

@@ -490,24 +490,14 @@ def validate(g: ClusteredGraph, sol: TreeSolution):
             hops += 1
             if x is None or hops > g.n:
                 return ["not a tree: a vertex cannot reach the source"]
-    tree_edges = sol.edge_set()
+    tree_adjacency = [[] for _ in range(g.n)]
+    for v, p in enumerate(sol.parent):
+        if p is not None:
+            tree_adjacency[v].append(p)
+            tree_adjacency[p].append(v)
     for ci, cluster in enumerate(g.clusters, start=1):
         inside = set(cluster)
-        local = {v: [] for v in cluster}
-        for e in tree_edges:
-            u, v = tuple(e)
-            if u in inside and v in inside:
-                local[u].append(v)
-                local[v].append(u)
-        seen = {cluster[0]}
-        queue = deque([cluster[0]])
-        while queue:
-            u = queue.popleft()
-            for v in local[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        if seen != inside:
+        if _reachable(tree_adjacency, cluster[0], inside) != inside:
             violations.append(f"induced subtree of cluster {ci} is disconnected")
     return violations
 

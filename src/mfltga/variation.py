@@ -32,14 +32,9 @@ class MatingOutcome:
     offspring_pop: list
     backup_pop: list
 
-    @property
-    def intermediate_pop(self) -> list:
-        return self.offspring_pop + self.backup_pop
-
 
 def _fresh_individual(ledger: EvalLedger, task_id: int, rng) -> Individual:
-    k = len(ledger.tasks)
-    ind = Individual(random_genotype(ledger.tasks, rng), [None] * k, [None] * k)
+    ind = Individual(random_genotype(ledger.tasks, rng), [None] * len(ledger.tasks))
     ind.factorial_costs[task_id - 1] = ledger.evaluate(ind.genotype, task_id)
     return ind
 
@@ -64,8 +59,10 @@ def tree_crossover(
     """
     tid = task.task_id
     idx = tid - 1
-    off_i = parent_i.working_copy()
-    off_j = parent_j.working_copy()
+    off_i, off_j = (
+        Individual(list(p.genotype), list(p.factorial_costs), punish=p.punish)
+        for p in (parent_i, parent_j)
+    )
     for off in (off_i, off_j):
         if off.factorial_costs[idx] is None:
             off.factorial_costs[idx] = ledger.evaluate(off.genotype, tid)
@@ -118,7 +115,6 @@ def mutate(ind: Individual, rate: float, rng, alphabet_size: int) -> Individual:
             ind.genotype[g] = value
     if changed:
         ind.factorial_costs = [None] * len(ind.factorial_costs)
-        ind.factorial_ranks = [None] * len(ind.factorial_ranks)
     return ind
 
 

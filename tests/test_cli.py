@@ -1,12 +1,16 @@
 import csv
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from mfltga.cli import main
 
-INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+INSTANCES = ROOT / "instances"
 HEADER = ["instance", "mode", "task", "runs", "num_opt", "mean_num_evals", "bf", "avg"]
 
 
@@ -136,3 +140,25 @@ def test_unreadable_instance_path_exits_with_error(tmp_path, capsys, command, ta
     path = tmp_path / target
     assert main([command, "--problem", f"cluspt:{path}"]) == 2
     assert f"error: cannot read instance file {path}" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli_in_a_fresh_interpreter(tmp_path):
+    # goes through __main__.py, which an in-process main() call never touches
+    env = dict(os.environ, PYTHONPATH="src")
+
+    def run(descriptor):
+        return subprocess.run(
+            [sys.executable, "-m", "mfltga", "oracle", "--problem", descriptor],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    done = run("cluspt:instances/rings6.cluspt")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "optimum_cost=22.0 optimum_count=2 enumerated=8"
+    missing = run(f"cluspt:{tmp_path / 'missing.cluspt'}")
+    assert missing.returncode == 2
+    assert missing.stderr.startswith("error:")

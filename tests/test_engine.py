@@ -115,6 +115,14 @@ def test_non_finite_objective_aborts_the_run():
         (dict(mutation_rate=1.5), r"mutation rate must lie in \[0, 1\]"),
         (dict(trace_every=0), "trace_every must be >= 1"),
         (dict(trace_every=-1), "trace_every must be >= 1"),
+        (dict(pop_size=4.0), "pop_size must be an int, got 4.0"),
+        (dict(pop_size=True), "pop_size must be an int, got True"),
+        (dict(max_evals=float("inf")), "max_evals must be an int, got inf"),
+        (dict(max_evals=100.0), "max_evals must be an int, got 100.0"),
+        (dict(max_p=2.5), "max_p must be an int, got 2.5"),
+        (dict(max_p=False), "max_p must be an int, got False"),
+        (dict(trace_every=1.5), "trace_every must be an int, got 1.5"),
+        (dict(trace_every="2"), "trace_every must be an int, got '2'"),
     ],
 )
 def test_bad_run_parameters_fail_before_any_evaluation(bad, message):

@@ -14,9 +14,7 @@ from mfltga.harness import (
     SummaryTable,
     carried_trace,
     mt_trace_rows,
-    normalized_objective,
     parse_problem_descriptor,
-    performance_improvement,
     read_summary_csv,
     resolve_tasks,
     run_experiment,
@@ -56,6 +54,15 @@ def test_config_validation():
         dict(problems=["dtf:k=3,m=5"], max_p=-1),
         dict(problems=["dtf:k=3,m=5"], mutation_rate=1.5),
         dict(problems=["dtf:k=3,m=5"], trace_every=0),
+        dict(problems=["dtf:k=3,m=5"], runs=2.5),
+        dict(problems=["dtf:k=3,m=5"], runs=True),
+        dict(problems=["dtf:k=3,m=5"], num_tasks=2.0),
+        dict(problems=["dtf:k=3,m=5"], seed=1.5),
+        dict(problems=["dtf:k=3,m=5"], seed="42"),
+        dict(problems=["dtf:k=3,m=5"], pop_size=4.0),
+        dict(problems=["dtf:k=3,m=5"], max_evals=float("inf")),
+        dict(problems=["dtf:k=3,m=5"], max_p=2.5),
+        dict(problems=["dtf:k=3,m=5"], trace_every=1.5),
     ]
     for kwargs in cases:
         with pytest.raises(ConfigurationError):
@@ -133,33 +140,24 @@ def test_resolve_tasks_unifies_cluspt_alphabet():
     assert [t.alphabet_size for t in tasks] == [6, 6]
 
 
-def test_performance_improvement_arithmetic():
-    assert performance_improvement(2783.2, 4228.0) == pytest.approx(34.172185, abs=1e-6)
-    assert performance_improvement(5.0, 5.0) == 0.0
-    assert performance_improvement(6.0, 5.0) == pytest.approx(-20.0)
-    with pytest.raises(ConfigurationError):
-        performance_improvement(1.0, 0.0)
-
-
 def test_carried_trace_carries_forward():
     rec = record([(0, 10, (10.0,)), (1, 30, (6.0,)), (3, 70, (2.0,))])
     carried = carried_trace(rec)
     assert [p.best[0] for p in carried] == [10.0, 6.0, 6.0, 2.0]
     assert [p.evals for p in carried] == [10, 30, 30, 70]
-    # past the last generation the final point holds
-    assert normalized_objective(rec, 0, 99, 2.0) == 0.0
+    # the normalized column carries forward too and ends on the final point
+    assert [row[3] for row in mt_trace_rows(rec, [2.0])] == [1.0, 0.5, 0.5, 0.0]
 
 
 def test_normalized_objective_scales_and_clamps():
+    # column 3 of a one-task trace row is the task's normalized objective
     rec = record([(0, 10, (10.0,)), (1, 30, (6.0,)), (2, 70, (2.0,))])
-    assert normalized_objective(rec, 0, 0, 2.0) == 1.0
-    assert normalized_objective(rec, 0, 1, 2.0) == 0.5
-    assert normalized_objective(rec, 0, 2, 2.0) == 0.0
+    assert [row[3] for row in mt_trace_rows(rec, [2.0])] == [1.0, 0.5, 0.0]
     # a reference above the run's own best clamps instead of going negative
-    assert normalized_objective(rec, 0, 2, 4.0) == 0.0
+    assert mt_trace_rows(rec, [4.0])[2][3] == 0.0
     # degenerate span: the run never improved on the reference
     flat = record([(0, 10, (3.0,)), (1, 20, (3.0,))])
-    assert normalized_objective(flat, 0, 1, 3.0) == 0.0
+    assert mt_trace_rows(flat, [3.0])[1][3] == 0.0
 
 
 def test_mt_trace_rows_shape():

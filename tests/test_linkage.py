@@ -76,8 +76,7 @@ def test_proximity_matrix_validation():
         proximity_matrix([0, 1, 0])
 
 
-def tree_is_well_formed(tree):
-    n_genes = tree.num_genes
+def tree_is_well_formed(tree, n_genes):
     assert len(tree.clusters) == 2 * n_genes - 1
     # leaves are the singletons in gene order
     for g in range(n_genes):
@@ -91,7 +90,7 @@ def tree_is_well_formed(tree):
         merged = sorted(tree.clusters[lo] + tree.clusters[hi])
         assert list(tree.clusters[node]) == merged
         assert len(set(tree.clusters[lo]) & set(tree.clusters[hi])) == 0
-    assert tree.clusters[tree.root] == tuple(range(n_genes))
+    assert tree.clusters[-1] == tuple(range(n_genes))
 
 
 def test_build_tree_structure_on_random_populations():
@@ -100,12 +99,23 @@ def test_build_tree_structure_on_random_populations():
         rows = [[rng.randrange(2) for _ in range(n_genes)] for _ in range(16)]
         tree = build_tree(1, rows)
         assert tree.task_id == 1
-        tree_is_well_formed(tree)
+        tree_is_well_formed(tree, n_genes)
 
 
 def test_build_tree_rejects_empty_population():
     with pytest.raises(InvalidStateError):
         build_tree(1, [])
+    with pytest.raises(InvalidStateError):
+        build_tree(1, np.empty((0, 5), dtype=int))
+
+
+def test_build_tree_accepts_a_numpy_array():
+    rng = random.Random(17)
+    rows = [[rng.randrange(3) for _ in range(7)] for _ in range(20)]
+    from_list = build_tree(2, rows)
+    from_array = build_tree(2, np.array(rows))
+    assert from_array == from_list
+    tree_is_well_formed(from_array, 7)
 
 
 def test_merge_distances_never_invert():
@@ -145,13 +155,13 @@ def test_crossover_masks_exclude_root_and_sort_by_size_then_recency():
     tree = build_tree(1, rows)
     masks = tree.crossover_masks()
     assert masks == [(2, 3), (0, 1), (3,), (2,), (1,), (0,)]
-    assert tuple(range(tree.num_genes)) not in masks
-    assert len(masks) == 2 * tree.num_genes - 2
+    assert tuple(range(4)) not in masks
+    assert len(masks) == 2 * 4 - 2
 
 
 def test_single_gene_tree_has_no_masks():
     tree = build_tree(1, [[0], [1]])
-    assert tree.num_genes == 1
+    assert tree.clusters == [(0,)]
     assert tree.crossover_masks() == []
 
 
@@ -160,8 +170,8 @@ def test_build_all_trees_uses_skill_groups_and_truncates():
     pop = initialize_population(tasks, 12, random.Random(4))
     trees = build_all_trees(pop, tasks)
     assert [t.task_id for t in trees] == [1, 2]
-    assert trees[0].num_genes == 6
-    assert trees[1].num_genes == 3
+    assert trees[0].clusters[-1] == tuple(range(6))
+    assert trees[1].clusters[-1] == tuple(range(3))
 
 
 def test_build_all_trees_falls_back_to_whole_population():
@@ -171,8 +181,8 @@ def test_build_all_trees_falls_back_to_whole_population():
         ind.skill_factor = 1
     trees = build_all_trees(pop, tasks)
     # task 2 has no skill group left, yet it still gets a full-size tree
-    assert trees[1].num_genes == 4
-    tree_is_well_formed(trees[1])
+    assert trees[1].clusters[-1] == tuple(range(4))
+    tree_is_well_formed(trees[1], 4)
 
 
 def test_build_tree_matches_scipy_average_linkage():

@@ -10,8 +10,9 @@ from mfltga.mfo import (
     Individual,
     Population,
     TaskDefinition,
-    assign_ranks_and_skill,
+    factorial_ranks,
     initialize_population,
+    rank_members,
     select_fittest,
 )
 
@@ -28,14 +29,13 @@ def sum_task(task_id, dimension=4, optimum=None):
 
 
 def fresh(genotype, k=2):
-    return Individual(list(genotype), [None] * k, [None] * k)
+    return Individual(list(genotype), [None] * k)
 
 
 def evaluated(ledger, genotype):
     """Individual holding the ledger's cost for it on every task."""
-    k = len(ledger.tasks)
     costs = [ledger.evaluate(genotype, t.task_id) for t in ledger.tasks]
-    return Individual(list(genotype), costs, [None] * k)
+    return Individual(list(genotype), costs)
 
 
 def test_task_definition_validation():
@@ -112,7 +112,8 @@ def test_initialize_population_shape_and_eval_count():
         assert all(0 <= g < 3 for g in ind.genotype)
         assert all(c is not None for c in ind.factorial_costs)
         assert ind.skill_factor in (1, 2)
-        assert ind.scalar_fitness is not None
+    fitness = rank_members(pop.members, 2)
+    assert len(fitness) == 8 and all(f is not None for f in fitness)
 
 
 def test_initialize_population_validation():
@@ -124,26 +125,30 @@ def test_initialize_population_validation():
         initialize_population([sum_task(1)], 5, random.Random(0))
 
 
-def ranks_are_a_permutation(members, j):
-    ranks = sorted(ind.factorial_ranks[j] for ind in members)
-    return ranks == list(range(1, len(members) + 1))
+def ranks_are_a_permutation(ranks, j):
+    return sorted(row[j] for row in ranks) == list(range(1, len(ranks) + 1))
 
 
 def test_rank_properties_on_random_populations():
     tasks = [sum_task(1), sum_task(2, dimension=3)]
     for seed in range(10):
         pop = initialize_population(tasks, 12, random.Random(seed))
+        ranks = factorial_ranks(pop.members, 2)
+        skills = [ind.skill_factor for ind in pop.members]
+        fitness = rank_members(pop.members, 2)
+        # ranking the same pool again reproduces the skill factors
+        assert [ind.skill_factor for ind in pop.members] == skills
         for j in range(2):
-            assert ranks_are_a_permutation(pop.members, j)
-        for ind in pop.members:
-            best = min(ind.factorial_ranks)
-            assert ind.scalar_fitness == 1.0 / best
-            assert ind.factorial_ranks[ind.skill_factor - 1] == best
+            assert ranks_are_a_permutation(ranks, j)
+        for ind, row, fit in zip(pop.members, ranks, fitness):
+            best = min(row)
+            assert fit == 1.0 / best
+            assert row[ind.skill_factor - 1] == best
         # ascending cost within a task means ascending rank
-        order = sorted(pop.members, key=lambda i: i.factorial_costs[0])
+        order = sorted(range(12), key=lambda i: pop.members[i].factorial_costs[0])
         for a, b in zip(order, order[1:]):
-            if a.factorial_costs[0] < b.factorial_costs[0]:
-                assert a.factorial_ranks[0] < b.factorial_ranks[0]
+            if pop.members[a].factorial_costs[0] < pop.members[b].factorial_costs[0]:
+                assert ranks[a][0] < ranks[b][0]
 
 
 def test_rank_ties_keep_insertion_order():
@@ -151,10 +156,7 @@ def test_rank_ties_keep_insertion_order():
     ledger = EvalLedger(tasks)
     a = evaluated(ledger, [1, 0])
     b = evaluated(ledger, [0, 1])
-    pop = Population([a, b], ledger)
-    assign_ranks_and_skill(pop)
-    assert a.factorial_ranks == [1]
-    assert b.factorial_ranks == [2]
+    assert factorial_ranks([a, b], 1) == [[1], [2]]
 
 
 def test_identical_tasks_split_skill_factors():
@@ -174,7 +176,7 @@ def test_members_without_any_cost_are_rejected():
     ledger = EvalLedger(tasks)
     pop = Population([fresh([0, 0, 0, 0], k=1)], ledger)
     with pytest.raises(InvalidStateError):
-        assign_ranks_and_skill(pop)
+        rank_members(pop.members, 1)
 
 
 def test_select_fittest_truncates_by_scalar_fitness():
@@ -182,7 +184,7 @@ def test_select_fittest_truncates_by_scalar_fitness():
     ledger = EvalLedger(tasks)
     members = [evaluated(ledger, genes) for genes in ([0, 0], [1, 0], [1, 1], [2, 1])]
     pop = Population(members, ledger)
-    assign_ranks_and_skill(pop)
+    rank_members(pop.members, 1)
     extra = evaluated(ledger, [0, 1])
     out = select_fittest(pop, Population([extra], ledger), 2)
     costs = sorted(ind.factorial_costs[0] for ind in out.members)
@@ -197,7 +199,7 @@ def test_select_fittest_unions_by_identity():
     a = evaluated(ledger, [0, 0])
     b = evaluated(ledger, [1, 1])
     pop = Population([a, b], ledger)
-    assign_ranks_and_skill(pop)
+    rank_members(pop.members, 1)
     with pytest.raises(InvalidStateError):
         select_fittest(pop, Population([a], ledger), 3)
     out = select_fittest(pop, Population([a], ledger), 2)
@@ -209,22 +211,10 @@ def test_select_fittest_reranks_the_union():
     ledger = EvalLedger(tasks)
     stale = evaluated(ledger, [2, 2])
     pop = Population([stale], ledger)
-    assign_ranks_and_skill(pop)
-    assert stale.factorial_ranks == [1]
+    assert factorial_ranks(pop.members, 1) == [[1]]
     better = evaluated(ledger, [0, 0])
     out = select_fittest(pop, Population([better], ledger), 2)
-    assert stale.factorial_ranks == [2]
-    assert better.factorial_ranks == [1]
-    assert better.scalar_fitness == 1.0
+    assert factorial_ranks([stale, better], 1) == [[2], [1]]
+    assert rank_members([stale, better], 1)[1] == 1.0
     assert len(out.members) == 2
-
-
-def test_working_copy_keeps_costs_drops_ranks():
-    ind = Individual([1, 2], [3.0, None], [1, None], scalar_fitness=1.0, skill_factor=1, punish=4)
-    copy = ind.working_copy()
-    assert copy.genotype == [1, 2] and copy.genotype is not ind.genotype
-    assert copy.factorial_costs == [3.0, None] and copy.factorial_costs is not ind.factorial_costs
-    assert copy.factorial_ranks == [None, None]
-    assert copy.scalar_fitness is None
-    assert copy.skill_factor is None
-    assert copy.punish == 4
+    assert out.members[0] is better and out.members[1] is stale

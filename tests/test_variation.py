@@ -51,11 +51,10 @@ def flat_task(task_id, dimension=4):
 
 def make_pop(tasks, genotypes, skills):
     ledger = EvalLedger(tasks)
-    k = len(tasks)
     members = []
     for genes, skill in zip(genotypes, skills):
         costs = [ledger.evaluate(genes, t.task_id) for t in tasks]
-        ind = Individual(list(genes), costs, [None] * k)
+        ind = Individual(list(genes), costs)
         ind.skill_factor = skill
         members.append(ind)
     return Population(members, ledger)
@@ -112,8 +111,8 @@ def test_tree_crossover_charges_two_evals_per_mask():
 def test_tree_crossover_evaluates_unevaluated_parents_on_entry():
     tasks = [flat_task(1)]
     ledger = EvalLedger(tasks)
-    pa = Individual([0, 1, 0, 1], [None], [None])
-    pb = Individual([1, 0, 1, 0], [None], [None])
+    pa = Individual([0, 1, 0, 1], [None])
+    pb = Individual([1, 0, 1, 0], [None])
     masks = paired_masks()
     tree_crossover(pa, pb, masks, tasks[0], 10, ScriptedRandom(), ledger)
     assert ledger.count == 2 + 2 * len(masks)
@@ -171,10 +170,12 @@ def test_tree_crossover_leaves_parents_and_sets_offspring_costs():
     assert (pa.genotype, pa.factorial_costs) == ([0, 1, 0, 1], [0.0, 2.0])
     assert (pb.genotype, pb.factorial_costs) == ([1, 1, 1, 0], [0.0, 3.0])
     assert off_i.factorial_costs is not pa.factorial_costs
+    # working copies carry no skill factor; mating sets it
+    assert off_i.skill_factor is None and off_j.skill_factor is None
 
 
 def test_mutate_rate_zero_is_identity():
-    ind = Individual([0, 1, 0], [1.0], [2])
+    ind = Individual([0, 1, 0], [1.0])
     out = mutate(ind, 0.0, ScriptedRandom(), alphabet_size=2)
     assert out is ind
     assert ind.genotype == [0, 1, 0]
@@ -183,22 +184,21 @@ def test_mutate_rate_zero_is_identity():
 
 def test_mutate_invalidates_costs_only_on_actual_change():
     # every gene is redrawn to its current value: genotype identical, costs kept
-    ind = Individual([0, 1], [1.0], [1])
+    ind = Individual([0, 1], [1.0])
     rng = ScriptedRandom(randoms=[0.0, 0.0], randranges=[0, 1])
     mutate(ind, 1.0, rng, alphabet_size=2)
     assert ind.genotype == [0, 1]
     assert ind.factorial_costs == [1.0]
-    # one gene flips: cached costs and ranks are dropped
+    # one gene flips: cached costs are dropped
     rng = ScriptedRandom(randoms=[0.0, 0.0], randranges=[1, 1])
     mutate(ind, 1.0, rng, alphabet_size=2)
     assert ind.genotype == [1, 1]
     assert ind.factorial_costs == [None]
-    assert ind.factorial_ranks == [None]
 
 
 def test_mutate_validates_rate():
     with pytest.raises(ConfigurationError):
-        mutate(Individual([0], [None], [None]), 1.5, ScriptedRandom(), 2)
+        mutate(Individual([0], [None]), 1.5, ScriptedRandom(), 2)
 
 
 def test_mating_equal_skill_pair_keeps_task_and_backup_stays_empty():
@@ -210,7 +210,6 @@ def test_mating_equal_skill_pair_keeps_task_and_backup_stays_empty():
     assert outcome.backup_pop == []
     assert len(outcome.offspring_pop) == 1
     assert outcome.offspring_pop[0].skill_factor == 2
-    assert outcome.intermediate_pop == outcome.offspring_pop
 
 
 def test_mating_mixed_pair_flips_a_coin_and_backs_up_the_loser():
@@ -229,7 +228,6 @@ def test_mating_mixed_pair_flips_a_coin_and_backs_up_the_loser():
     outcome = assortative_mating(pop, trees, ScriptedRandom(randoms=[0.7]))
     assert outcome.offspring_pop[0].skill_factor == 2
     assert outcome.backup_pop[0] is pop.members[0]
-    assert outcome.intermediate_pop == outcome.offspring_pop + outcome.backup_pop
 
 
 def test_mating_offspring_hold_a_cost_for_their_task():

@@ -38,7 +38,7 @@ def random_parent(tasks, selected, max_p, rng):
     ]
     if rng.random() < 0.5:
         costs[selected - 1] = None
-    return Individual(genes, costs, [None] * len(tasks), punish=rng.randrange(max_p + 2))
+    return Individual(genes, costs, punish=rng.randrange(max_p + 2))
 
 
 def ledger_state(ledger):

@@ -2,9 +2,10 @@
 
 ``tree_crossover`` and ``_fresh_individual`` are kept as they were, building
 two candidate individuals per mask from fresh genotype copies and sorting the
-tree's masks on every call; the one adaptation is that each call site stores
+tree's masks on every call.  The adaptations are that each call site stores
 the cost the ledger returns, since the ledger no longer writes into an
-individual.  Nothing under ``src/`` imports this module.
+individual, and that individuals are built and copied without the rank and
+fitness fields they no longer have.  Nothing under ``src/`` imports this module.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from mfltga.mfo import EvalLedger, Individual, TaskDefinition, random_genotype
 
 def _fresh_individual(ledger: EvalLedger, task_id: int, rng) -> Individual:
     k = len(ledger.tasks)
-    ind = Individual(random_genotype(ledger.tasks, rng), [None] * k, [None] * k)
+    ind = Individual(random_genotype(ledger.tasks, rng), [None] * k)
     ind.factorial_costs[task_id - 1] = ledger.evaluate(ind.genotype, task_id)
     return ind
 
@@ -38,16 +39,16 @@ def tree_crossover(
     fresh random individuals.  Both offspring carry the resulting counter.
     """
     tid = task.task_id
-    off_i = parent_i.working_copy()
-    off_j = parent_j.working_copy()
+    off_i = Individual(list(parent_i.genotype), list(parent_i.factorial_costs), punish=parent_i.punish)
+    off_j = Individual(list(parent_j.genotype), list(parent_j.factorial_costs), punish=parent_j.punish)
     for off in (off_i, off_j):
         if off.factorial_costs[tid - 1] is None:
             off.factorial_costs[tid - 1] = ledger.evaluate(off.genotype, tid)
     improved = False
     k = len(ledger.tasks)
     for mask in tree.crossover_masks():
-        cand_i = Individual(list(off_i.genotype), [None] * k, [None] * k)
-        cand_j = Individual(list(off_j.genotype), [None] * k, [None] * k)
+        cand_i = Individual(list(off_i.genotype), [None] * k)
+        cand_j = Individual(list(off_j.genotype), [None] * k)
         for g in mask:
             cand_i.genotype[g] = off_j.genotype[g]
             cand_j.genotype[g] = off_i.genotype[g]
