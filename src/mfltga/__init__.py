@@ -10,7 +10,7 @@ knowledge transfer between related tasks.
 
 from .engine import RunRecord, run_mfltga
 from .errors import ConfigurationError, InstanceFormatError
-from .harness import ExperimentConfig, run_experiment, run_mt, run_st, summarize
+from .harness import ExperimentConfig, run_experiment, summarize
 from .oracle import exhaustive_cluspt, exhaustive_dtf, reference_trap_cost
 
 __version__ = "0.1.0"
@@ -25,7 +25,5 @@ __all__ = [
     "reference_trap_cost",
     "run_experiment",
     "run_mfltga",
-    "run_mt",
-    "run_st",
     "summarize",
 ]

@@ -32,43 +32,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run an experiment in st or mt mode")
+    # Each dest is an ExperimentConfig field, and a flag left out stays out of
+    # the namespace, so the config's own defaults are the only ones.
+    run = sub.add_parser(
+        "run", help="run an experiment in st or mt mode", argument_default=argparse.SUPPRESS
+    )
     run.add_argument(
         "--problem",
+        dest="problems",
         action="append",
         required=True,
         help="problem descriptor: dtf:k=3,m=5 or cluspt:<path> (repeatable)",
     )
-    run.add_argument("--mode", choices=("st", "mt"), default="mt")
-    run.add_argument("--tasks", type=int, default=2, help="number of tasks")
-    run.add_argument("--pop", type=int, default=128, help="population size")
-    run.add_argument("--max-evals", type=int, default=1_000_000)
-    run.add_argument("--runs", type=int, default=10)
-    run.add_argument("--seed", type=int, default=42)
-    run.add_argument("--max-p", type=int, default=10, help="no-improvement restart threshold")
-    run.add_argument("--mutation", type=float, default=0.05, help="per-gene mutation rate")
-    run.add_argument("--trace-every", type=int, default=1)
-    run.add_argument("--out", default=None, help="output directory for csv/json emission")
+    run.add_argument("--mode", choices=("st", "mt"))
+    run.add_argument("--tasks", dest="num_tasks", type=int, help="number of tasks")
+    run.add_argument("--pop", dest="pop_size", type=int, help="population size")
+    run.add_argument("--max-evals", type=int)
+    run.add_argument("--runs", type=int)
+    run.add_argument("--seed", type=int)
+    run.add_argument("--max-p", type=int, help="no-improvement restart threshold")
+    run.add_argument("--mutation", dest="mutation_rate", type=float, help="per-gene mutation rate")
+    run.add_argument("--trace-every", type=int)
+    run.add_argument("--out", dest="out_path", help="output directory for csv/json emission")
 
     oracle = sub.add_parser("oracle", help="exhaustively solve a desk-scale instance")
     oracle.add_argument("--problem", required=True)
     return parser
 
 
-def _cmd_run(args) -> int:
-    config = ExperimentConfig(
-        problems=args.problem,
-        mode=args.mode,
-        num_tasks=args.tasks,
-        pop_size=args.pop,
-        max_evals=args.max_evals,
-        runs=args.runs,
-        seed=args.seed,
-        max_p=args.max_p,
-        mutation_rate=args.mutation,
-        trace_every=args.trace_every,
-        out_path=args.out,
-    )
+def _cmd_run(options: dict) -> int:
+    config = ExperimentConfig(**options)
     result = run_experiment(config)
     csv.writer(sys.stdout, lineterminator="\n").writerows(summary_csv_rows(summarize(result)))
     if config.out_path:
@@ -76,8 +69,8 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    kind, payload = parse_problem_descriptor(args.problem)
+def _cmd_oracle(options: dict) -> int:
+    kind, payload = parse_problem_descriptor(options["problem"])
     if kind == "dtf":
         outcome = exhaustive_dtf(payload)
     else:
@@ -92,11 +85,10 @@ def _cmd_oracle(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    options = vars(parser.parse_args(argv))
+    command = options.pop("command")
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        return _cmd_oracle(args)
+        return _cmd_run(options) if command == "run" else _cmd_oracle(options)
     except (ConfigurationError, InstanceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -83,6 +83,8 @@ def validate_run_parameters(
         raise ConfigurationError("max_evals must be >= 0")
     if max_p < 0:
         raise ConfigurationError("max_p must be >= 0")
+    if isinstance(mutation_rate, bool) or not isinstance(mutation_rate, (int, float)):
+        raise ConfigurationError(f"mutation_rate must be an int or float, got {mutation_rate!r}")
     if not 0.0 <= mutation_rate <= 1.0:
         raise ConfigurationError("mutation rate must lie in [0, 1]")
     if trace_every < 1:

@@ -1,4 +1,4 @@
-"""Experiment harness: configs, single/multi-task runners, metrics, emission.
+"""Experiment harness: configs, campaign runs, metrics, emission.
 
 Modes
 -----
@@ -7,21 +7,29 @@ is literally the multitask loop with one task).  ``mt`` solves all tasks in
 one shared population.  Run r of a config uses seed = base_seed XOR r, so the
 two modes can be compared on paired seeds.
 
+Both modes are read through one view: run r is a list of legs, each a
+RunRecord with the task positions it holds, run one after another.  An mt run
+is one leg holding every task; the st schedule is one leg per task, task 1
+first.  The summary, the best-known costs and the trace tables are all built
+from the legs, so ``run_experiment`` is the only place the modes differ.
+
 Outputs
 -------
 ``summary.csv`` with one row per (instance, mode, task), ``trace_<run>.csv``
-convergence tables with per-task best costs and normalized objectives, and
-``config.json`` with the resolved configuration and per-run seeds.
+convergence tables with per-task best costs and normalized objectives on the
+legs' shared generation axis, and ``config.json`` with the resolved
+configuration and per-run seeds.
 """
 from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .engine import RunRecord, require_int, run_mfltga, validate_run_parameters
 from .errors import ConfigurationError
@@ -161,16 +169,6 @@ def _runs(config: ExperimentConfig, tasks) -> list:
     return [run_mfltga(tasks, seed=config.run_seed(r), **params) for r in range(config.runs)]
 
 
-def run_st(config: ExperimentConfig):
-    """Independent single-task runs: {task_id: [RunRecord per run]}."""
-    return run_experiment(dataclasses.replace(config, mode="st", out_path=None)).st_records
-
-
-def run_mt(config: ExperimentConfig):
-    """Shared-population multitask runs: [RunRecord per run]."""
-    return run_experiment(dataclasses.replace(config, mode="mt", out_path=None)).mt_records
-
-
 @dataclass
 class SummaryRow:
     instance: str
@@ -196,41 +194,39 @@ class ExperimentResult:
     mt_records: Optional[list] = None
 
 
-def _per_task_stats(instance, mode, task_id, per_run):
-    """per_run: list of (best_cost, evals_to_success or None) for one task."""
-    bests = [b for b, _ in per_run]
-    successes = [e for _, e in per_run if e is not None]
-    return SummaryRow(
-        instance=instance,
-        mode=mode,
-        task=task_id,
-        runs=len(per_run),
-        num_opt=len(successes),
-        mean_num_evals=(sum(successes) / len(successes)) if successes else None,
-        bf=min(bests),
-        avg=sum(bests) / len(bests),
-    )
+def _legs(result: ExperimentResult, run_index: int) -> list:
+    """The (RunRecord, task positions) legs of one run index, in execution order.
+
+    Slot i of a leg's record holds task position positions[i].
+    """
+    if result.config.mode == "mt":
+        return [(result.mt_records[run_index], range(len(result.labels)))]
+    return [(result.st_records[tid][run_index], [tid - 1]) for tid in sorted(result.st_records)]
 
 
 def summarize(result: ExperimentResult) -> SummaryTable:
+    """One row per task: success count, mean evals to success, best and mean cost."""
+    per_task = [[] for _ in result.labels]
+    for run_index in range(result.config.runs):
+        for rec, positions in _legs(result, run_index):
+            for slot, pos in enumerate(positions):
+                per_task[pos].append((rec.best_found[slot], rec.evals_to_success[slot]))
     rows = []
-    if result.st_records is not None:
-        for task_id in sorted(result.st_records):
-            records = result.st_records[task_id]
-            per_run = [(rec.best_found[0], rec.evals_to_success[0]) for rec in records]
-            rows.append(
-                _per_task_stats(result.labels[task_id - 1], "st", task_id, per_run)
+    for pos, per_run in enumerate(per_task):
+        bests = [b for b, _ in per_run]
+        successes = [e for _, e in per_run if e is not None]
+        rows.append(
+            SummaryRow(
+                instance=result.labels[pos],
+                mode=result.config.mode,
+                task=pos + 1,
+                runs=len(per_run),
+                num_opt=len(successes),
+                mean_num_evals=(sum(successes) / len(successes)) if successes else None,
+                bf=min(bests),
+                avg=sum(bests) / len(bests),
             )
-    if result.mt_records is not None:
-        num_tasks = len(result.mt_records[0].task_ids)
-        for pos in range(num_tasks):
-            per_run = [
-                (rec.best_found[pos], rec.evals_to_success[pos])
-                for rec in result.mt_records
-            ]
-            rows.append(
-                _per_task_stats(result.labels[pos], "mt", pos + 1, per_run)
-            )
+        )
     return SummaryTable(rows=rows)
 
 
@@ -256,72 +252,36 @@ def _normalized(init: float, value: float, bf_star: float) -> float:
     return min(1.0, max(0.0, (value - bf_star) / span))
 
 
-def _bf_stars(result: ExperimentResult, num_tasks: int):
-    """Best cost seen per task across every run and mode of the experiment."""
-    stars = [math.inf] * num_tasks
-    if result.st_records is not None:
-        for task_id, records in result.st_records.items():
-            for rec in records:
-                stars[task_id - 1] = min(stars[task_id - 1], rec.best_found[0])
-    if result.mt_records is not None:
-        for rec in result.mt_records:
-            for pos in range(num_tasks):
-                stars[pos] = min(stars[pos], rec.best_found[pos])
-    return stars
+def serial_trace_rows(legs, stars):
+    """Per-generation rows [gen, evals, best..., f_norm..., f_norm_avg] of legs run in series.
 
-
-def mt_trace_rows(record: RunRecord, stars):
-    """Per-generation rows [gen, evals, best..., f_norm..., f_norm_avg] of one run."""
-    init = record.trace[0].best
-    rows = []
-    for gen, point in enumerate(carried_trace(record)):
-        norms = [_normalized(init[pos], value, stars[pos]) for pos, value in enumerate(point.best)]
-        rows.append([gen, point.evals] + list(point.best) + norms + [sum(norms) / len(norms)])
-    return rows
-
-
-def st_serial_trace_rows(records: Sequence[RunRecord], stars):
-    """Serial single-task schedule merged onto one generation axis.
-
-    The tasks' runs execute one after another (task 1 first), the way a
-    single-task solver would work through the task list with the combined
-    budget.  Before a task's leg starts its best cost is unknown (emitted as
-    None) and its normalized objective sits at 1.0; after the leg ends its
-    values stay frozen.
+    legs lists (RunRecord, task positions) pairs in the order they ran, the
+    positions in task order across the legs: one leg with every task for an
+    mt run, one leg per task for the serial single-task schedule (the way a
+    single-task solver works through the task list on the combined budget).
+    The legs share one generation axis.  Before a leg starts its tasks' best
+    costs are unknown (None) and their normalized objectives sit at 1.0;
+    after it ends its values stay frozen.  Evals add up over the legs that
+    have started.
     """
-    lengths = [rec.generations for rec in records]
-    carried = [carried_trace(rec) for rec in records]
-    offsets = []
-    acc = 0
-    for length in lengths:
-        offsets.append(acc)
-        acc += length
-    total = acc
+    num_tasks = sum(len(positions) for _, positions in legs)
+    carried = [carried_trace(rec) for rec, _ in legs]
+    offsets = list(itertools.accumulate((rec.generations for rec, _ in legs), initial=0))
     rows = []
-    for gen in range(total + 1):
-        bests = []
-        norms = []
+    for gen in range(offsets[-1] + 1):
+        bests = [None] * num_tasks
+        norms = [1.0] * num_tasks
         evals = 0
-        for pos, rec in enumerate(records):
-            local = gen - offsets[pos]
-            if local < 0:
-                bests.append(None)
-                norms.append(1.0)
-            else:
-                point = carried[pos][min(local, lengths[pos])]
-                bests.append(point.best[0])
-                norms.append(_normalized(rec.trace[0].best[0], point.best[0], stars[pos]))
-                evals += point.evals
-        rows.append([gen, evals] + bests + norms + [sum(norms) / len(norms)])
+        for (rec, positions), points, offset in zip(legs, carried, offsets):
+            if gen < offset:
+                break
+            point = points[min(gen - offset, rec.generations)]
+            evals += point.evals
+            for slot, pos in enumerate(positions):
+                bests[pos] = point.best[slot]
+                norms[pos] = _normalized(rec.trace[0].best[slot], point.best[slot], stars[pos])
+        rows.append([gen, evals] + bests + norms + [sum(norms) / num_tasks])
     return rows
-
-
-def _trace_rows(result: ExperimentResult, run_index: int, num_tasks: int, stars):
-    """Merged per-generation trace for one run index of the experiment's mode."""
-    if result.mt_records is not None:
-        return mt_trace_rows(result.mt_records[run_index], stars)
-    records = [result.st_records[tid][run_index] for tid in sorted(result.st_records)]
-    return st_serial_trace_rows(records, stars)
 
 
 def summary_csv_rows(table: SummaryTable):
@@ -368,15 +328,14 @@ def read_summary_csv(path) -> SummaryTable:
 
 
 def write_outputs(result: ExperimentResult) -> None:
-    """Emit summary.csv, trace_<run>.csv and config.json under out_path."""
+    """Emit summary.csv, trace_<run>.csv and config.json into the out_path directory."""
     out = result.config.out_path
     if out is None:
         return
-    os.makedirs(out, exist_ok=True)
     table = summarize(result)
     write_summary_csv(table, os.path.join(out, "summary.csv"))
-    num_tasks = len(result.labels)
-    stars = _bf_stars(result, num_tasks)
+    stars = [row.bf for row in table.rows]  # best cost per task over every run
+    num_tasks = len(stars)
     header = (
         ["generation", "evals"]
         + [f"best_task{pos + 1}" for pos in range(num_tasks)]
@@ -384,18 +343,14 @@ def write_outputs(result: ExperimentResult) -> None:
         + ["f_norm_avg"]
     )
     for run_index in range(result.config.runs):
-        rows = _trace_rows(result, run_index, num_tasks, stars)
+        rows = serial_trace_rows(_legs(result, run_index), stars)
         with open(
             os.path.join(out, f"trace_{run_index}.csv"), "w", newline="", encoding="utf-8"
         ) as handle:
             writer = csv.writer(handle)
             writer.writerow(header)
             for row in rows:
-                writer.writerow(
-                    [row[0], row[1]]
-                    + ["" if x is None else repr(x) for x in row[2 : 2 + num_tasks]]
-                    + [repr(x) for x in row[2 + num_tasks :]]
-                )
+                writer.writerow(row[:2] + ["" if x is None else repr(x) for x in row[2:]])
     payload = dataclasses.asdict(result.config)
     payload["instances"] = list(result.labels)
     payload["run_seeds"] = [result.config.run_seed(r) for r in range(result.config.runs)]
@@ -406,9 +361,20 @@ def write_outputs(result: ExperimentResult) -> None:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run the configured mode over all runs and emit outputs if requested."""
+    """Run the configured mode over all runs and emit outputs if requested.
+
+    The output directory is created before the first run, so a path that
+    cannot hold it fails before any evaluation is spent.
+    """
     config.validate()
     tasks, labels = resolve_tasks(config)
+    if config.out_path is not None:
+        try:
+            os.makedirs(config.out_path, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot create output directory {config.out_path!r}: {exc}"
+            ) from exc
     result = ExperimentResult(config=config, labels=labels)
     if config.mode == "st":
         result.st_records = {

@@ -52,7 +52,6 @@ class ClusteredGraph:
     adjacency: dict  # adjacency[u][v] = weight, symmetric
     clusters: list  # list of sorted vertex tuples, file order
     source: int
-    coords: Optional[list] = None
 
     @property
     def num_clusters(self) -> int:
@@ -116,13 +115,6 @@ class TreeSolution:
     dist: list
     objective: float
 
-    def edge_set(self):
-        return {
-            frozenset((v, p))
-            for v, p in enumerate(self.parent)
-            if p is not None
-        }
-
 
 def _nint(x: float) -> int:
     return int(x + 0.5)
@@ -180,26 +172,21 @@ def parse_instance(text: str) -> ClusteredGraph:
             raise InstanceFormatError(f"missing header {key}")
         return header[key]
 
+    def int_header(key):
+        text, lineno = require(key)
+        try:
+            return int(text), lineno
+        except ValueError:
+            raise InstanceFormatError(f"{key} is not an integer: {text!r}", lineno)
+
     name = header.get("NAME", ("unnamed", 0))[0]
-    dim_text, dim_line = require("DIMENSION")
-    try:
-        n = int(dim_text)
-    except ValueError:
-        raise InstanceFormatError(f"DIMENSION is not an integer: {dim_text!r}", dim_line)
+    n, dim_line = int_header("DIMENSION")
     if n < 1:
         raise InstanceFormatError("DIMENSION must be >= 1", dim_line)
-    k_text, k_line = require("CLUSTERS")
-    try:
-        num_clusters = int(k_text)
-    except ValueError:
-        raise InstanceFormatError(f"CLUSTERS is not an integer: {k_text!r}", k_line)
+    num_clusters, k_line = int_header("CLUSTERS")
     if num_clusters < 1:
         raise InstanceFormatError("CLUSTERS must be >= 1", k_line)
-    src_text, src_line = require("SOURCE")
-    try:
-        source = int(src_text)
-    except ValueError:
-        raise InstanceFormatError(f"SOURCE is not an integer: {src_text!r}", src_line)
+    source, src_line = int_header("SOURCE")
     if not 1 <= source <= n:
         raise InstanceFormatError(f"SOURCE {source} outside 1..{n}", src_line)
     weight_type, wt_line = require("EDGE_WEIGHT_TYPE")
@@ -207,7 +194,6 @@ def parse_instance(text: str) -> ClusteredGraph:
     if weight_type not in ("EUC_2D", "EXPLICIT"):
         raise InstanceFormatError(f"unsupported EDGE_WEIGHT_TYPE {weight_type!r}", wt_line)
 
-    coords = None
     if weight_type == "EUC_2D":
         if not coord_lines:
             raise InstanceFormatError("EUC_2D instance without NODE_COORD_SECTION")
@@ -321,7 +307,6 @@ def parse_instance(text: str) -> ClusteredGraph:
         adjacency=adjacency,
         clusters=clusters,
         source=source - 1,
-        coords=coords,
     )
     _check_connectivity(graph)
     return graph

@@ -20,11 +20,10 @@ from mfltga import (
     exhaustive_cluspt,
     exhaustive_dtf,
     reference_trap_cost,
+    run_experiment,
     run_mfltga,
-    run_mt,
-    run_st,
 )
-from mfltga.harness import mt_trace_rows, st_serial_trace_rows
+from mfltga.harness import serial_trace_rows
 from mfltga.linkage import build_tree
 from mfltga.mfo import (
     EvalLedger,
@@ -84,8 +83,8 @@ def small_trap_runs():
     )
     mt_config = dataclasses.replace(st_config, mode="mt", num_tasks=2)
     start = time.perf_counter()
-    st = run_st(st_config)[1]
-    mt = run_mt(mt_config)
+    st = run_experiment(st_config).st_records[1]
+    mt = run_experiment(mt_config).mt_records
     return st, mt, time.perf_counter() - start
 
 
@@ -138,8 +137,8 @@ def test_a3_large_trap_success_counts():
     )
     mt_config = dataclasses.replace(st_config, mode="mt", num_tasks=2)
     start = time.perf_counter()
-    st = run_st(st_config)[1]
-    mt = run_mt(mt_config)
+    st = run_experiment(st_config).st_records[1]
+    mt = run_experiment(mt_config).mt_records
     elapsed = time.perf_counter() - start
     st_hits = sum(rec.optimum_found[0] for rec in st)
     mt_hits = [sum(rec.optimum_found[t] for rec in mt) for t in range(2)]
@@ -354,8 +353,8 @@ def test_a8_structural_invariants():
         runs=3,
         seed=11,
     )
-    st = run_st(config)[1]
-    mt = run_mt(dataclasses.replace(config, mode="mt"))
+    st = run_experiment(config).st_records[1]
+    mt = run_experiment(dataclasses.replace(config, mode="mt")).mt_records
     for st_rec, mt_rec in zip(st, mt):
         if json.dumps(st_rec.to_dict(), sort_keys=True) != json.dumps(
             mt_rec.to_dict(), sort_keys=True
@@ -384,8 +383,8 @@ def test_a9_convergence_comparison():
         seed=42,
     )
     start = time.perf_counter()
-    st = run_st(config)
-    mt = run_mt(config)
+    st = run_experiment(dataclasses.replace(config, mode="st")).st_records
+    mt = run_experiment(config).mt_records
     elapsed = time.perf_counter() - start
     best_seen = [[], []]
     for t in (1, 2):
@@ -396,8 +395,8 @@ def test_a9_convergence_comparison():
     stars = [min(values) for values in best_seen]
     wins = 0
     for r in range(10):
-        st_rows = st_serial_trace_rows([st[1][r], st[2][r]], stars)
-        mt_rows = mt_trace_rows(mt[r], stars)
+        st_rows = serial_trace_rows([(st[1][r], [0]), (st[2][r], [1])], stars)
+        mt_rows = serial_trace_rows([(mt[r], [0, 1])], stars)
         common = min(st_rows[-1][0], mt_rows[-1][0])
         if mt_rows[common][-1] <= st_rows[common][-1]:
             wins += 1

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import pathlib
@@ -7,7 +8,9 @@ import sys
 
 import pytest
 
+from mfltga import cli
 from mfltga.cli import main
+from mfltga.harness import ExperimentConfig, SummaryTable
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
@@ -92,6 +95,72 @@ def test_run_counts_cluspt_successes_against_a_declared_optimum(capsys):
     assert row[:4] == [problem, "st", "1", "2"]
     assert int(row[4]) >= 1
     assert float(row[6]) == 22.0
+
+
+def test_out_path_that_is_a_file_exits_with_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = ["run", "--problem", "dtf:k=1,m=2", "--pop", "4", "--max-evals", "100"]
+    assert main(argv + ["--runs", "1", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {str(taken)!r}")
+
+
+def captured_config(monkeypatch, argv):
+    """The ExperimentConfig `run` builds from argv, without running it."""
+    seen = []
+
+    def fake_run_experiment(config):
+        seen.append(config)
+        return None
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run_experiment)
+    monkeypatch.setattr(cli, "summarize", lambda result: SummaryTable(rows=[]))
+    assert main(["run"] + argv) == 0
+    (config,) = seen
+    return config
+
+
+def test_every_run_flag_reaches_its_config_field(monkeypatch, tmp_path):
+    argv = [
+        "--problem", "dtf:k=3,m=5",
+        "--problem", "dtf:k=4,m=2",
+        "--problem", "dtf:k=2,m=2",
+        "--mode", "st",
+        "--tasks", "3",
+        "--pop", "16",
+        "--max-evals", "123",
+        "--runs", "4",
+        "--seed", "9",
+        "--max-p", "3",
+        "--mutation", "0.25",
+        "--trace-every", "5",
+        "--out", str(tmp_path),
+    ]  # fmt: skip
+    config = captured_config(monkeypatch, argv)
+    assert config == ExperimentConfig(
+        problems=["dtf:k=3,m=5", "dtf:k=4,m=2", "dtf:k=2,m=2"],
+        mode="st",
+        num_tasks=3,
+        pop_size=16,
+        max_evals=123,
+        runs=4,
+        seed=9,
+        max_p=3,
+        mutation_rate=0.25,
+        trace_every=5,
+        out_path=str(tmp_path),
+    )
+    # every field was given a value other than its default, so each flag
+    # above is shown to reach its own field
+    defaults = ExperimentConfig(problems=[])
+    for field in dataclasses.fields(ExperimentConfig):
+        assert getattr(config, field.name) != getattr(defaults, field.name), field.name
+
+
+def test_bare_run_resolves_to_the_config_defaults(monkeypatch):
+    config = captured_config(monkeypatch, ["--problem", "dtf:k=3,m=5"])
+    assert config == ExperimentConfig(problems=["dtf:k=3,m=5"])
 
 
 def test_oracle_subcommand_dtf(capsys):

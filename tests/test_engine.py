@@ -123,6 +123,8 @@ def test_non_finite_objective_aborts_the_run():
         (dict(max_p=False), "max_p must be an int, got False"),
         (dict(trace_every=1.5), "trace_every must be an int, got 1.5"),
         (dict(trace_every="2"), "trace_every must be an int, got '2'"),
+        (dict(mutation_rate=True), "mutation_rate must be an int or float, got True"),
+        (dict(mutation_rate="0.5"), "mutation_rate must be an int or float, got '0.5'"),
     ],
 )
 def test_bad_run_parameters_fail_before_any_evaluation(bad, message):

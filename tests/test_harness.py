@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 from mfltga.engine import RunRecord, TracePoint
+from mfltga import harness
 from mfltga.errors import ConfigurationError
 from mfltga.harness import (
     ExperimentConfig,
@@ -13,12 +14,11 @@ from mfltga.harness import (
     SummaryRow,
     SummaryTable,
     carried_trace,
-    mt_trace_rows,
     parse_problem_descriptor,
     read_summary_csv,
     resolve_tasks,
     run_experiment,
-    st_serial_trace_rows,
+    serial_trace_rows,
     summarize,
     write_summary_csv,
 )
@@ -38,6 +38,11 @@ def record(points, task_ids=(1,), evals_to_success=(None,)):
         trace=trace,
         wall_time=0.0,
     )
+
+
+def one_leg(rec, stars):
+    """Trace rows of a run that is a single leg holding all of its tasks."""
+    return serial_trace_rows([(rec, range(len(rec.task_ids)))], stars)
 
 
 def test_config_validation():
@@ -63,6 +68,8 @@ def test_config_validation():
         dict(problems=["dtf:k=3,m=5"], max_evals=float("inf")),
         dict(problems=["dtf:k=3,m=5"], max_p=2.5),
         dict(problems=["dtf:k=3,m=5"], trace_every=1.5),
+        dict(problems=["dtf:k=3,m=5"], mutation_rate=True),
+        dict(problems=["dtf:k=3,m=5"], mutation_rate="0.5"),
     ]
     for kwargs in cases:
         with pytest.raises(ConfigurationError):
@@ -146,18 +153,18 @@ def test_carried_trace_carries_forward():
     assert [p.best[0] for p in carried] == [10.0, 6.0, 6.0, 2.0]
     assert [p.evals for p in carried] == [10, 30, 30, 70]
     # the normalized column carries forward too and ends on the final point
-    assert [row[3] for row in mt_trace_rows(rec, [2.0])] == [1.0, 0.5, 0.5, 0.0]
+    assert [row[3] for row in one_leg(rec, [2.0])] == [1.0, 0.5, 0.5, 0.0]
 
 
 def test_normalized_objective_scales_and_clamps():
     # column 3 of a one-task trace row is the task's normalized objective
     rec = record([(0, 10, (10.0,)), (1, 30, (6.0,)), (2, 70, (2.0,))])
-    assert [row[3] for row in mt_trace_rows(rec, [2.0])] == [1.0, 0.5, 0.0]
+    assert [row[3] for row in one_leg(rec, [2.0])] == [1.0, 0.5, 0.0]
     # a reference above the run's own best clamps instead of going negative
-    assert mt_trace_rows(rec, [4.0])[2][3] == 0.0
+    assert one_leg(rec, [4.0])[2][3] == 0.0
     # degenerate span: the run never improved on the reference
     flat = record([(0, 10, (3.0,)), (1, 20, (3.0,))])
-    assert mt_trace_rows(flat, [3.0])[1][3] == 0.0
+    assert one_leg(flat, [3.0])[1][3] == 0.0
 
 
 def test_mt_trace_rows_shape():
@@ -166,7 +173,7 @@ def test_mt_trace_rows_shape():
         task_ids=(1, 2),
         evals_to_success=(55, None),
     )
-    rows = mt_trace_rows(rec, [0.0, 3.0])
+    rows = one_leg(rec, [0.0, 3.0])
     assert len(rows) == 3
     assert rows[0] == [0, 20, 8.0, 9.0, 1.0, 1.0, 1.0]
     assert rows[2][0] == 2
@@ -178,7 +185,7 @@ def test_mt_trace_rows_shape():
 def test_st_serial_rows_hold_later_tasks_until_their_leg():
     first = record([(0, 10, (10.0,)), (1, 30, (6.0,)), (2, 50, (2.0,))])
     second = record([(0, 10, (20.0,)), (1, 30, (5.0,))])
-    rows = st_serial_trace_rows([first, second], [2.0, 5.0])
+    rows = serial_trace_rows([(first, [0]), (second, [1])], [2.0, 5.0])
     # 2 + 1 leg generations share one axis: combined generations 0..3
     assert len(rows) == 4
     gen0 = rows[0]
@@ -200,7 +207,7 @@ def test_st_serial_rows_hold_later_tasks_until_their_leg():
 
 def test_st_serial_rows_single_task_is_the_plain_trace():
     rec = record([(0, 10, (10.0,)), (1, 30, (6.0,))])
-    rows = st_serial_trace_rows([rec], [6.0])
+    rows = serial_trace_rows([(rec, [0])], [6.0])
     assert [r[0] for r in rows] == [0, 1]
     assert rows[0][2] == 10.0 and rows[1][2] == 6.0
 
@@ -285,6 +292,34 @@ def test_run_experiment_emits_outputs(tmp_path):
     assert "seed_policy" in payload
     fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
     assert list(payload) == fields + ["instances", "run_seeds", "seed_policy"]
+
+
+def test_run_experiment_rejects_an_out_path_it_cannot_create(tmp_path, monkeypatch):
+    calls = []
+    original = harness.resolve_tasks
+
+    def counting_tasks(config):
+        tasks, labels = original(config)
+        counted = [
+            dataclasses.replace(t, objective=lambda genes, f=t.objective: calls.append(1) or f(genes))
+            for t in tasks
+        ]
+        return counted, labels
+
+    monkeypatch.setattr(harness, "resolve_tasks", counting_tasks)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    config = ExperimentConfig(
+        problems=["dtf:k=1,m=2"], pop_size=4, max_evals=100, runs=1, out_path=str(taken)
+    )
+    with pytest.raises(ConfigurationError, match="cannot create output directory") as info:
+        run_experiment(config)
+    assert str(taken) in str(info.value)
+    assert isinstance(info.value.__cause__, OSError)
+    assert calls == []
+    # the same config with a creatable path spends evaluations
+    run_experiment(dataclasses.replace(config, out_path=str(tmp_path / "fresh")))
+    assert calls
 
 
 def test_run_experiment_mt_smoke(tmp_path):
