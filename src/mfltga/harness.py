@@ -53,6 +53,12 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.mode not in ("st", "mt"):
             raise ConfigurationError(f"mode must be 'st' or 'mt', got {self.mode!r}")
+        if not isinstance(self.problems, (list, tuple)) or not all(
+            isinstance(d, str) for d in self.problems
+        ):
+            raise ConfigurationError(
+                f"problems must be a list of descriptor strings, got {self.problems!r}"
+            )
         if not self.problems:
             raise ConfigurationError("at least one problem descriptor is required")
         for name in ("num_tasks", "runs", "seed"):

@@ -68,12 +68,35 @@ def _pair_distance(cx, card_x, hx, cy, card_y, hy) -> float:
     return 2.0 - (hx + hy) / hxy
 
 
-def proximity_matrix(rows) -> np.ndarray:
-    """Symmetric L x L gene-distance matrix with a zero diagonal."""
-    data = np.asarray(rows)
-    if data.ndim != 2 or data.shape[0] == 0:
-        raise InvalidStateError("need a non-empty 2-d sample of gene rows")
-    n_rows, n_genes = data.shape
+def _binary_distances(high: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Distances of gene pairs (i, j) in a sample whose columns hold <= 2 values.
+
+    high[r, g] is true where row r holds the larger of gene g's two values.
+    All joint counts come from one integer product of this 0/1 code matrix.
+    Each entropy is summed from one table of p * log2(p) terms in the cells'
+    bincount order (00, 01, 10, 11), so every distance is bit-equal to the
+    pair loop's: an empty cell adds an exact 0.0 where the loop skips it.
+    """
+    n_rows = high.shape[0]
+    codes = high.astype(np.int64)
+    ones = codes.sum(axis=0)
+    n11 = codes.T @ codes
+    p = np.arange(1, n_rows + 1) / np.int64(n_rows)
+    term = np.concatenate(([0.0], p * np.log2(p)))
+    ent = -(term[n_rows - ones] + term[ones])
+    both = n11[i, j]
+    hxy = -(term[n_rows - ones[i] - ones[j] + both] + term[ones[j] - both]
+            + term[ones[i] - both] + term[both])
+    dist = np.zeros_like(hxy)
+    live = hxy != 0.0
+    dist[live] = 2.0 - (ent[i] + ent[j])[live] / hxy[live]
+    return dist
+
+
+def _loop_distances(data: np.ndarray) -> np.ndarray:
+    """Distances of all gene pairs in row-major upper-triangle order, one
+    joint bincount per pair."""
+    n_genes = data.shape[1]
     codes = []
     cards = []
     ents = []
@@ -82,12 +105,38 @@ def proximity_matrix(rows) -> np.ndarray:
         codes.append(c)
         cards.append(card)
         ents.append(_entropy_bits(np.bincount(c, minlength=card)))
+    return np.array([
+        _pair_distance(codes[i], cards[i], ents[i], codes[j], cards[j], ents[j])
+        for i in range(n_genes)
+        for j in range(i + 1, n_genes)
+    ])
+
+
+def proximity_matrix(rows) -> np.ndarray:
+    """Symmetric L x L gene-distance matrix with a zero diagonal.
+
+    A sample whose every column holds at most two distinct values takes its
+    joint counts from one integer matrix product; wider alphabets take the
+    pair loop.  Both give bit-equal distances.
+    """
+    try:
+        data = np.asarray(rows)
+    except ValueError as err:
+        raise InvalidStateError(f"gene rows must all have one length: {err}") from err
+    if data.ndim != 2 or data.shape[0] == 0 or data.shape[1] == 0:
+        raise InvalidStateError("need a non-empty 2-d sample of gene rows")
+    n_genes = data.shape[1]
+    i, j = np.triu_indices(n_genes, 1)
+    lo, hi = data.min(axis=0), data.max(axis=0)
+    if np.all((data == lo) | (data == hi)):
+        upper = _binary_distances(data != lo, i, j)
+    else:
+        upper = _loop_distances(data)
     dist = np.zeros((n_genes, n_genes))
-    for i in range(n_genes):
-        for j in range(i + 1, n_genes):
-            d = _pair_distance(codes[i], cards[i], ents[i], codes[j], cards[j], ents[j])
-            dist[i, j] = d
-            dist[j, i] = d
+    dist[i, j] = upper
+    # mirrored, not recomputed: summing (j, i)'s cells in their own order can
+    # change the last bit, and with it a UPGMA tie
+    dist[j, i] = upper
     return dist
 
 

@@ -28,6 +28,9 @@ class TaskDefinition:
     dimension : number of leading genes the objective consumes.
     alphabet_size : size of the categorical gene domain for this task.
     objective : pure function of the first `dimension` genes, lower is better.
+        It must neither modify nor keep the sequence it is given: when the
+        genotype is exactly `dimension` genes long the objective receives the
+        live genotype, which tree crossover then swaps in place.
     known_optimum : optimal cost if known (enables success accounting).
     """
 
@@ -82,7 +85,9 @@ class EvalLedger:
     def evaluate(self, genotype: Sequence[int], task_id: int) -> float:
         idx = task_id - 1
         task = self.tasks[idx]
-        cost = float(task.objective(genotype[: task.dimension]))
+        if len(genotype) != task.dimension:
+            genotype = genotype[: task.dimension]
+        cost = float(task.objective(genotype))
         if not math.isfinite(cost):
             raise ConfigurationError(f"task {task_id}: objective returned non-finite cost {cost}")
         self.count += 1

@@ -74,6 +74,16 @@ def test_config_validation():
     for kwargs in cases:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(**kwargs).validate()
+    # a bare descriptor string is not a list of descriptors, whatever num_tasks
+    for kwargs in (
+        dict(problems="dtf:k=3,m=5", num_tasks=11),
+        dict(problems="dtf:k=3,m=5"),
+        dict(problems=["dtf:k=3,m=5", 5]),
+        dict(problems=None),
+    ):
+        with pytest.raises(ConfigurationError, match="problems"):
+            ExperimentConfig(**kwargs).validate()
+    assert ExperimentConfig(problems=("dtf:k=3,m=5",)).validate().problems == ("dtf:k=3,m=5",)
 
 
 def test_paired_seed_policy():

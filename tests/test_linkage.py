@@ -74,6 +74,11 @@ def test_proximity_matrix_validation():
         proximity_matrix([])
     with pytest.raises(InvalidStateError):
         proximity_matrix([0, 1, 0])
+    # ragged rows and rows without genes are malformed samples too
+    with pytest.raises(InvalidStateError):
+        proximity_matrix([[0, 1], [0]])
+    with pytest.raises(InvalidStateError):
+        proximity_matrix(np.zeros((3, 0), dtype=int))
 
 
 def tree_is_well_formed(tree, n_genes):
@@ -107,6 +112,8 @@ def test_build_tree_rejects_empty_population():
         build_tree(1, [])
     with pytest.raises(InvalidStateError):
         build_tree(1, np.empty((0, 5), dtype=int))
+    with pytest.raises(InvalidStateError):
+        build_tree(1, np.zeros((3, 0)))
 
 
 def test_build_tree_accepts_a_numpy_array():

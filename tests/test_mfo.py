@@ -15,6 +15,8 @@ from mfltga.mfo import (
     rank_members,
     select_fittest,
 )
+from mfltga.linkage import build_tree
+from mfltga.variation import tree_crossover
 
 
 def sum_task(task_id, dimension=4, optimum=None):
@@ -63,6 +65,40 @@ def test_ledger_evaluates_on_the_task_prefix():
     tasks = [sum_task(1, dimension=2)]
     ledger = EvalLedger(tasks)
     assert ledger.evaluate([1, 1, 2, 2], 1) == 2.0
+
+
+def test_each_objective_receives_exactly_its_task_prefix(monkeypatch):
+    # tasks of dimension 3 and 5 in a 5-gene space: one reads a prefix, the
+    # other whole genotypes, during initialization and inside crossover
+    received = []
+    offered = []
+
+    def recording_task(task_id, dimension):
+        def objective(genes):
+            received.append((task_id, list(genes)))
+            return float(sum(genes))
+
+        return TaskDefinition(task_id, dimension, 2, objective)
+
+    evaluate = EvalLedger.evaluate
+
+    def watched(ledger, genotype, task_id):
+        offered.append((task_id, list(genotype)))
+        return evaluate(ledger, genotype, task_id)
+
+    monkeypatch.setattr(EvalLedger, "evaluate", watched)
+    tasks = [recording_task(1, 3), recording_task(2, 5)]
+    pop = initialize_population(tasks, 8, random.Random(6))
+    for task in tasks:
+        rows = [ind.genotype[: task.dimension] for ind in pop.members]
+        masks = build_tree(task.task_id, rows).crossover_masks()
+        tree_crossover(pop.members[0], pop.members[1], masks, task, 10, random.Random(7), pop.ledger)
+    assert pop.ledger.count == len(received) == len(offered) > 16
+    dimension = {t.task_id: t.dimension for t in tasks}
+    for (tid, genes), (offered_tid, genotype) in zip(received, offered):
+        assert tid == offered_tid
+        assert len(genotype) == 5
+        assert genes == genotype[: dimension[tid]]
 
 
 def test_ledger_tracks_best_and_first_success_per_task():
