@@ -21,6 +21,7 @@ from .mfo import (
     Population,
     TaskDefinition,
     initialize_population,
+    require_int,
     select_fittest,
 )
 from .variation import assortative_mating
@@ -58,12 +59,6 @@ class RunRecord:
             "total_evals": self.total_evals,
             "trace": [[p.generation, p.evals, list(p.best)] for p in self.trace],
         }
-
-
-def require_int(name: str, value) -> None:
-    """Raise ConfigurationError unless value is an int (bool excluded)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{name} must be an int, got {value!r}")
 
 
 def validate_run_parameters(

@@ -31,8 +31,9 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import RunRecord, require_int, run_mfltga, validate_run_parameters
+from .engine import RunRecord, run_mfltga, validate_run_parameters
 from .errors import ConfigurationError
+from .mfo import require_int
 from .problems import cluspt, trap
 
 
@@ -71,6 +72,8 @@ class ExperimentConfig:
             )
         if self.runs < 1:
             raise ConfigurationError("runs must be >= 1")
+        if not isinstance(self.out_path, (type(None), str, os.PathLike)):
+            raise ConfigurationError(f"out_path must be a path or None, got {self.out_path!r}")
         validate_run_parameters(**self._run_parameters())
         return self
 
@@ -140,7 +143,7 @@ def _parse_descriptor(text: str):
 
 
 def resolve_tasks(config: ExperimentConfig):
-    """Build the task list (ids 1..K) and per-task instance labels."""
+    """Build the task list (ids 1..K); each task's label is its descriptor."""
     descriptors = list(config.problems)
     if len(descriptors) == 1 and config.num_tasks > 1:
         descriptors = descriptors * config.num_tasks
@@ -150,23 +153,14 @@ def resolve_tasks(config: ExperimentConfig):
         raise ConfigurationError(
             "tasks must share a gene alphabet; mixing dtf and cluspt is not supported"
         )
-    tasks = []
-    labels = []
     if kinds == {"dtf"}:
-        for tid, ((_, spec, _), label) in enumerate(zip(parsed, descriptors), start=1):
-            tasks.append(trap.make_task(spec, task_id=tid))
-            labels.append(label)
+        tasks = [trap.make_task(spec, task_id=tid) for tid, (_, spec, _) in enumerate(parsed, 1)]
     else:
-        graphs = [cluspt.parse_file(path) for _, path, _ in parsed]
-        alphabet = max(max(g.n for g in graphs), 2)
-        for tid, (g, (_, _, optimum), label) in enumerate(
-            zip(graphs, parsed, descriptors), start=1
-        ):
-            tasks.append(
-                cluspt.make_task(g, task_id=tid, alphabet_size=alphabet, known_optimum=optimum)
-            )
-            labels.append(label)
-    return tasks, labels
+        tasks = [
+            cluspt.make_task(cluspt.parse_file(path), task_id=tid, known_optimum=optimum)
+            for tid, (_, path, optimum) in enumerate(parsed, 1)
+        ]
+    return tasks, descriptors
 
 
 def _runs(config: ExperimentConfig, tasks) -> list:

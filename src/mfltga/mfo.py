@@ -5,7 +5,8 @@ largest task dimension, genes drawn from the largest task alphabet).  An
 individual keeps its genotype, its per-task factorial costs, its skill factor
 (the task it is best at) and its restart counter.  Factorial ranks and scalar
 fitness compare members of one pool, so they are computed over that pool at
-each ranking and never stored on an individual.
+each ranking and never stored on an individual.  Ranking is the only writer
+of skill factors; ``task_cost`` charges an individual for a cost it lacks.
 """
 from __future__ import annotations
 
@@ -16,6 +17,12 @@ from typing import Callable, Optional, Sequence
 from .errors import ConfigurationError, InvalidStateError
 
 Objective = Callable[[Sequence[int]], float]
+
+
+def require_int(name: str, value) -> None:
+    """Raise ConfigurationError unless value is an int (bool excluded)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass
@@ -41,6 +48,8 @@ class TaskDefinition:
     known_optimum: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("task_id", "dimension", "alphabet_size"):
+            require_int(name, getattr(self, name))
         if self.dimension < 1:
             raise ConfigurationError(f"task {self.task_id}: dimension must be >= 1")
         if self.alphabet_size < 2:
@@ -119,18 +128,23 @@ class Population:
         return self.ledger.tasks
 
 
-def unified_dimension(tasks: Sequence[TaskDefinition]) -> int:
-    return max(t.dimension for t in tasks)
-
-
 def unified_alphabet(tasks: Sequence[TaskDefinition]) -> int:
+    """Gene alphabet of the shared space: the largest alphabet any task declares."""
     return max(t.alphabet_size for t in tasks)
 
 
 def random_genotype(tasks: Sequence[TaskDefinition], rng) -> list:
-    dim = unified_dimension(tasks)
     alpha = unified_alphabet(tasks)
-    return [rng.randrange(alpha) for _ in range(dim)]
+    return [rng.randrange(alpha) for _ in range(max(t.dimension for t in tasks))]
+
+
+def task_cost(ind: Individual, task_id: int, ledger: EvalLedger) -> float:
+    """ind's cost on task task_id; a missing one is evaluated once and stored."""
+    idx = task_id - 1
+    cost = ind.factorial_costs[idx]
+    if cost is None:
+        cost = ind.factorial_costs[idx] = ledger.evaluate(ind.genotype, task_id)
+    return cost
 
 
 def initialize_population(tasks: Sequence[TaskDefinition], n: int, rng) -> Population:

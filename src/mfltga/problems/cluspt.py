@@ -128,15 +128,13 @@ def _listed(ids, count: int) -> str:
 
 
 _HEADER_KEYS = {"NAME", "DIMENSION", "CLUSTERS", "SOURCE", "EDGE_WEIGHT_TYPE"}
-_SECTION_KEYS = {"NODE_COORD_SECTION", "EDGE_SECTION", "CLUSTER_SECTION"}
+_SECTION_KEYS = ("NODE_COORD_SECTION", "EDGE_SECTION", "CLUSTER_SECTION")
 
 
 def parse_instance(text: str) -> ClusteredGraph:
     """Parse instance text, raising InstanceFormatError with line numbers."""
     header = {}
-    coord_lines = []
-    edge_lines = []
-    cluster_lines = []
+    data = {key: [] for key in _SECTION_KEYS}
     section = None
     ended = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -158,14 +156,10 @@ def parse_instance(text: str) -> ClusteredGraph:
         if line.upper() in _SECTION_KEYS:
             section = line.upper()
             continue
-        if section == "NODE_COORD_SECTION":
-            coord_lines.append((lineno, line))
-        elif section == "EDGE_SECTION":
-            edge_lines.append((lineno, line))
-        elif section == "CLUSTER_SECTION":
-            cluster_lines.append((lineno, line))
-        else:
+        if section is None:
             raise InstanceFormatError(f"unexpected line {line!r}", lineno)
+        data[section].append((lineno, line))
+    coord_lines, edge_lines, cluster_lines = (data[key] for key in _SECTION_KEYS)
 
     def require(key):
         if key not in header:
@@ -193,6 +187,11 @@ def parse_instance(text: str) -> ClusteredGraph:
     weight_type = weight_type.upper()
     if weight_type not in ("EUC_2D", "EXPLICIT"):
         raise InstanceFormatError(f"unsupported EDGE_WEIGHT_TYPE {weight_type!r}", wt_line)
+    # data in the section the weight type does not read would otherwise be dropped
+    unread = "EDGE_SECTION" if weight_type == "EUC_2D" else "NODE_COORD_SECTION"
+    if data[unread]:
+        lineno, line = data[unread][0]
+        raise InstanceFormatError(f"{unread} line {line!r} in an {weight_type} instance", lineno)
 
     if weight_type == "EUC_2D":
         if not coord_lines:
@@ -488,16 +487,16 @@ def validate(g: ClusteredGraph, sol: TreeSolution):
 
 
 def make_task(
-    g: ClusteredGraph,
-    task_id: int = 1,
-    alphabet_size: Optional[int] = None,
-    known_optimum: Optional[float] = None,
+    g: ClusteredGraph, task_id: int = 1, known_optimum: Optional[float] = None
 ) -> TaskDefinition:
-    """Wrap an instance as an engine task over priority genotypes."""
+    """Wrap an instance as an engine task over priority genes in 0..max(n, 2)-1.
+
+    Tasks sharing a population draw genes from the largest of their alphabets.
+    """
     return TaskDefinition(
         task_id=task_id,
         dimension=g.n,
-        alphabet_size=alphabet_size if alphabet_size is not None else max(g.n, 2),
+        alphabet_size=max(g.n, 2),
         objective=lambda genes, _g=g: decode(_g, genes).objective,
         known_optimum=known_optimum,
     )

@@ -3,7 +3,9 @@
 The mating flow pairs the population at random.  Parents sharing a skill
 factor recombine inside that task; mixed pairs flip a fair coin for the task,
 and the parent whose task lost the coin is copied unchanged into the backup
-pool.  Crossover walks the selected task's linkage tree top down, swapping
+pool.  Offspring are charged only on the selected task, through
+``mfo.task_cost``; their skill factors are left to the next ranking.
+Crossover walks the selected task's linkage tree top down, swapping
 each cluster mask in place between the working pair and undoing the swap
 unless a child strictly beats both current parents on the selected task.
 Pairs that survive a whole traversal unimproved accumulate punishment; past
@@ -21,6 +23,7 @@ from .mfo import (
     Population,
     TaskDefinition,
     random_genotype,
+    task_cost,
     unified_alphabet,
 )
 
@@ -31,12 +34,6 @@ class MatingOutcome:
 
     offspring_pop: list
     backup_pop: list
-
-
-def _fresh_individual(ledger: EvalLedger, task_id: int, rng) -> Individual:
-    ind = Individual(random_genotype(ledger.tasks, rng), [None] * len(ledger.tasks))
-    ind.factorial_costs[task_id - 1] = ledger.evaluate(ind.genotype, task_id)
-    return ind
 
 
 def tree_crossover(
@@ -63,11 +60,8 @@ def tree_crossover(
         Individual(list(p.genotype), list(p.factorial_costs), punish=p.punish)
         for p in (parent_i, parent_j)
     )
-    for off in (off_i, off_j):
-        if off.factorial_costs[idx] is None:
-            off.factorial_costs[idx] = ledger.evaluate(off.genotype, tid)
+    cost_i, cost_j = task_cost(off_i, tid, ledger), task_cost(off_j, tid, ledger)
     gi, gj = off_i.genotype, off_j.genotype
-    cost_i, cost_j = off_i.factorial_costs[idx], off_j.factorial_costs[idx]
     improved = False
     for mask in masks:
         for g in mask:
@@ -89,8 +83,10 @@ def tree_crossover(
     else:
         n_p = max(parent_i.punish, parent_j.punish) + 1
         if n_p > max_p:
-            off_i = _fresh_individual(ledger, tid, rng)
-            off_j = _fresh_individual(ledger, tid, rng)
+            off_i = Individual(random_genotype(ledger.tasks, rng), [None] * len(ledger.tasks))
+            off_j = Individual(random_genotype(ledger.tasks, rng), [None] * len(ledger.tasks))
+            task_cost(off_i, tid, ledger)
+            task_cost(off_j, tid, ledger)
             n_p = 0
     off_i.punish = off_j.punish = n_p
     return off_i, off_j
@@ -130,9 +126,9 @@ def assortative_mating(
 
     trees holds one linkage tree per task; each tree's crossover masks are
     sorted once here and shared by every pair that selects its task.  Returns
-    the best offspring of each pair (evaluated on the pair's selected task,
-    skill factor imitating it) plus the backup pool of unmodified parents
-    whose skill task lost the coin flip.
+    the best offspring of each pair, holding a cost on the pair's selected
+    task and no skill factor until the next ranking, plus the backup pool of
+    unmodified parents whose skill task lost the coin flip.
     """
     members = pop.members
     if len(members) % 2 != 0:
@@ -155,14 +151,9 @@ def assortative_mating(
         if masks is None:
             raise InvalidStateError(f"no linkage tree supplied for task {selected}")
         off_i, off_j = tree_crossover(pa, pb, masks, task_by_id[selected], max_p, rng, pop.ledger)
-        if mutation_rate > 0.0:
-            for off in (off_i, off_j):
-                mutate(off, mutation_rate, rng, alphabet)
-                if off.factorial_costs[selected - 1] is None:
-                    off.factorial_costs[selected - 1] = pop.ledger.evaluate(off.genotype, selected)
-        off_i.skill_factor = selected
-        off_j.skill_factor = selected
-        if off_i.factorial_costs[selected - 1] <= off_j.factorial_costs[selected - 1]:
+        mutate(off_i, mutation_rate, rng, alphabet)
+        mutate(off_j, mutation_rate, rng, alphabet)
+        if task_cost(off_i, selected, pop.ledger) <= task_cost(off_j, selected, pop.ledger):
             offspring.append(off_i)
         else:
             offspring.append(off_j)

@@ -112,6 +112,19 @@ def test_parse_rejects_non_finite_numbers(value):
         cluspt.parse_instance(text)
 
 
+def test_parse_rejects_data_in_the_section_the_weight_type_ignores():
+    # EUC_2D weights come from coordinates: an EDGE_SECTION would be dropped
+    text = euc_text(["1 0 0", "2 3 4"]).replace(
+        "CLUSTER_SECTION", "EDGE_SECTION\n1 2 100\nCLUSTER_SECTION"
+    )
+    with pytest.raises(InstanceFormatError, match="line 10: EDGE_SECTION line '1 2 100'"):
+        cluspt.parse_instance(text)
+    # EXPLICIT weights come from edges: coordinates would be dropped
+    text = build().replace("EDGE_SECTION", "NODE_COORD_SECTION\n1 0 0\nEDGE_SECTION")
+    with pytest.raises(InstanceFormatError, match="line 7: NODE_COORD_SECTION line '1 0 0'"):
+        cluspt.parse_instance(text)
+
+
 def test_parse_rejects_overflowing_distance():
     text = euc_text(["1 1e308 0", "2 -1e308 0"])
     with pytest.raises(InstanceFormatError, match="vertices 1 and 2 overflows"):

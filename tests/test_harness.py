@@ -8,6 +8,7 @@ import pytest
 from mfltga.engine import RunRecord, TracePoint
 from mfltga import harness
 from mfltga.errors import ConfigurationError
+from mfltga.mfo import unified_alphabet
 from mfltga.harness import (
     ExperimentConfig,
     ExperimentResult,
@@ -70,6 +71,7 @@ def test_config_validation():
         dict(problems=["dtf:k=3,m=5"], trace_every=1.5),
         dict(problems=["dtf:k=3,m=5"], mutation_rate=True),
         dict(problems=["dtf:k=3,m=5"], mutation_rate="0.5"),
+        dict(problems=["dtf:k=3,m=5"], out_path=5),
     ]
     for kwargs in cases:
         with pytest.raises(ConfigurationError):
@@ -152,9 +154,12 @@ def test_resolve_tasks_unifies_cluspt_alphabet():
         ],
         num_tasks=2,
     )
-    tasks, _ = resolve_tasks(config)
+    tasks, labels = resolve_tasks(config)
     assert [t.dimension for t in tasks] == [4, 6]
-    assert [t.alphabet_size for t in tasks] == [6, 6]
+    # each task declares its own alphabet; the shared space takes the largest
+    assert [t.alphabet_size for t in tasks] == [4, 6]
+    assert unified_alphabet(tasks) == 6
+    assert labels == config.problems
 
 
 def test_carried_trace_carries_forward():

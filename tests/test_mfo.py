@@ -14,6 +14,7 @@ from mfltga.mfo import (
     initialize_population,
     rank_members,
     select_fittest,
+    task_cost,
 )
 from mfltga.linkage import build_tree
 from mfltga.variation import tree_crossover
@@ -45,6 +46,24 @@ def test_task_definition_validation():
         sum_task(1, dimension=0)
     with pytest.raises(ConfigurationError):
         TaskDefinition(1, 4, 1, lambda g: 0.0)
+    # integer fields must be ints, and a bool is not one
+    for fields in ((1, 3.5, 2), (1, True, 2), (1, 4, 2.0), (1.0, 4, 2), (True, 4, 2)):
+        with pytest.raises(ConfigurationError, match="must be an int"):
+            TaskDefinition(*fields, lambda g: 0.0)
+
+
+def test_task_cost_charges_only_the_first_request():
+    tasks = [sum_task(1), sum_task(2, dimension=2)]
+    ledger = EvalLedger(tasks)
+    # a held cost is returned as stored, even one the objective would not give
+    ind = Individual([1, 2, 0, 1], [7.0, None])
+    assert task_cost(ind, 2, ledger) == 3.0
+    assert (ledger.count, ledger.task_counts) == (1, [0, 1])
+    assert ind.factorial_costs == [7.0, 3.0]
+    assert task_cost(ind, 2, ledger) == 3.0
+    assert task_cost(ind, 1, ledger) == 7.0
+    assert (ledger.count, ledger.task_counts) == (1, [0, 1])
+    assert ind.factorial_costs == [7.0, 3.0]
 
 
 def test_ledger_counts_every_call_once():

@@ -209,7 +209,8 @@ def test_mating_equal_skill_pair_keeps_task_and_backup_stays_empty():
     assert isinstance(outcome, MatingOutcome)
     assert outcome.backup_pop == []
     assert len(outcome.offspring_pop) == 1
-    assert outcome.offspring_pop[0].skill_factor == 2
+    # a kept swap leaves a cost on the shared task 2 only
+    assert outcome.offspring_pop[0].factorial_costs == [None, 0.0]
 
 
 def test_mating_mixed_pair_flips_a_coin_and_backs_up_the_loser():
@@ -219,14 +220,14 @@ def test_mating_mixed_pair_flips_a_coin_and_backs_up_the_loser():
     pop = make_pop(tasks, genotypes, [1, 2])
     trees = build_all_trees(pop, tasks)
     outcome = assortative_mating(pop, trees, ScriptedRandom(randoms=[0.3]))
-    assert outcome.offspring_pop[0].skill_factor == 1
+    assert outcome.offspring_pop[0].factorial_costs == [0.0, None]
     assert len(outcome.backup_pop) == 1
     assert outcome.backup_pop[0] is pop.members[1]
     # coin at or above 0.5: the second parent's task wins instead
     pop = make_pop(tasks, genotypes, [1, 2])
     trees = build_all_trees(pop, tasks)
     outcome = assortative_mating(pop, trees, ScriptedRandom(randoms=[0.7]))
-    assert outcome.offspring_pop[0].skill_factor == 2
+    assert outcome.offspring_pop[0].factorial_costs == [None, 0.0]
     assert outcome.backup_pop[0] is pop.members[0]
 
 
@@ -240,8 +241,20 @@ def test_mating_offspring_hold_a_cost_for_their_task():
     trees = build_all_trees(pop, tasks)
     outcome = assortative_mating(pop, trees, random.Random(21))
     assert len(outcome.offspring_pop) == 2
-    for off in outcome.offspring_pop:
-        assert off.factorial_costs[off.skill_factor - 1] is not None
+    # replay the pairing; a mixed pair's selected task is the one whose
+    # parent stayed out of the backup pool
+    order = list(range(4))
+    random.Random(21).shuffle(order)
+    backups = iter(outcome.backup_pop)
+    for off, a, b in zip(outcome.offspring_pop, order[::2], order[1::2]):
+        pa, pb = pop.members[a], pop.members[b]
+        if pa.skill_factor == pb.skill_factor:
+            selected = pa.skill_factor
+        else:
+            selected = pb.skill_factor if next(backups) is pa else pa.skill_factor
+        assert off.factorial_costs[selected - 1] == float(sum(off.genotype))
+        # skill factors come from the next ranking, not from mating
+        assert off.skill_factor is None
 
 
 def test_mating_best_of_pair_prefers_lower_cost_then_first():
