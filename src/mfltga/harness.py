@@ -156,8 +156,11 @@ def resolve_tasks(config: ExperimentConfig):
     if kinds == {"dtf"}:
         tasks = [trap.make_task(spec, task_id=tid) for tid, (_, spec, _) in enumerate(parsed, 1)]
     else:
+        # one graph per distinct file, so replicated tasks share its decoder memo
+        paths = dict.fromkeys(path for _, path, _ in parsed)
+        graphs = {path: cluspt.parse_file(path) for path in paths}
         tasks = [
-            cluspt.make_task(cluspt.parse_file(path), task_id=tid, known_optimum=optimum)
+            cluspt.make_task(graphs[path], task_id=tid, known_optimum=optimum)
             for tid, (_, path, optimum) in enumerate(parsed, 1)
         ]
     return tasks, descriptors

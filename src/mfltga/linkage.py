@@ -12,6 +12,7 @@ running distances maintained with the Lance-Williams update.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -198,17 +199,23 @@ def build_tree(task_id: int, rows) -> LinkageTree:
 def build_all_trees(pop: Population, tasks: Sequence[TaskDefinition]):
     """One linkage tree per task, fitted on that task's skill group.
 
-    Rows are genotypes truncated to the task dimension.  A task whose skill
-    group is empty falls back to the whole population so a tree always exists.
+    Rows are genotypes truncated to the task dimension, read from one integer
+    array of the whole population.  A task whose skill group is empty falls
+    back to the whole population so a tree always exists.
     """
+    members = pop.members
+    if not members:
+        raise InvalidStateError("cannot build a linkage tree from an empty population")
+    width = len(members[0].genotype)
+    if any(len(ind.genotype) != width for ind in members):
+        raise InvalidStateError("genotypes must all have one length")
+    genes = chain.from_iterable(ind.genotype for ind in members)
+    genotypes = np.fromiter(genes, dtype=np.int64, count=len(members) * width)
+    genotypes = genotypes.reshape(len(members), width)
+    skills = np.array([ind.skill_factor or 0 for ind in members])
     trees = []
     for task in tasks:
-        rows = [
-            ind.genotype[: task.dimension]
-            for ind in pop.members
-            if ind.skill_factor == task.task_id
-        ]
-        if not rows:
-            rows = [ind.genotype[: task.dimension] for ind in pop.members]
-        trees.append(build_tree(task.task_id, rows))
+        group = skills == task.task_id
+        rows = genotypes[group] if group.any() else genotypes
+        trees.append(build_tree(task.task_id, rows[:, : task.dimension]))
     return trees

@@ -38,7 +38,8 @@ class TaskDefinition:
         It must neither modify nor keep the sequence it is given: when the
         genotype is exactly `dimension` genes long the objective receives the
         live genotype, which tree crossover then swaps in place.
-    known_optimum : optimal cost if known (enables success accounting).
+    known_optimum : optimal cost if known (enables success accounting); None or
+        a finite int or float.
     """
 
     task_id: int
@@ -54,6 +55,13 @@ class TaskDefinition:
             raise ConfigurationError(f"task {self.task_id}: dimension must be >= 1")
         if self.alphabet_size < 2:
             raise ConfigurationError(f"task {self.task_id}: alphabet_size must be >= 2")
+        opt = self.known_optimum
+        if opt is not None and (
+            isinstance(opt, bool) or not isinstance(opt, (int, float)) or not math.isfinite(opt)
+        ):
+            raise ConfigurationError(
+                f"task {self.task_id}: known_optimum must be None or a finite number, got {opt!r}"
+            )
 
 
 @dataclass

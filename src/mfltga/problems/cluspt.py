@@ -27,7 +27,9 @@ complete graphs with weights rounded to the nearest integer.
 Genotypes are integer priority vectors.  The decoder grows each cluster's
 internal tree and the cluster-level tree by highest-priority frontier
 expansion, realizes cluster-level edges as the cheapest concrete edge between
-the two clusters, then orients everything away from the source.
+the two clusters, then orients everything away from the source.  Each graph
+keeps a bounded memo of recently grown trees, so a cluster whose priorities
+were seen before is not regrown; decoding gives the same tree either way.
 """
 from __future__ import annotations
 
@@ -37,10 +39,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import islice
+from operator import itemgetter
 from typing import Optional
 
 from ..errors import ConfigurationError, InstanceFormatError, InvalidStateError
 from ..mfo import TaskDefinition
+
+# Most entries one memo table of grown trees holds; a full table is cleared.
+MEMO_SIZE = 128
 
 
 @dataclass
@@ -100,11 +106,34 @@ class ClusteredGraph:
             links[b].append((a, w, (lo, hi, w)))
         return tuple(links)
 
+    @cached_property
+    def cluster_keys(self) -> tuple:
+        """cluster_keys[c](prio) is the tuple of prio over cluster c, in its vertex order."""
+        return tuple(_picker(cluster) for cluster in self.clusters)
+
+    @cached_property
+    def lead_key(self):
+        """lead_key(prio)[c] is the priority of cluster c's lowest-id vertex."""
+        return _picker([min(cluster) for cluster in self.clusters])
+
+    @cached_property
+    def memo(self) -> tuple:
+        """Grown trees by key: one table per cluster, then the cluster-level one."""
+        return tuple({} for _ in range(self.num_clusters + 1))
+
     def edges(self):
         for u in range(self.n):
             for v, w in self.adjacency[u].items():
                 if u < v:
                     yield u, v, w
+
+
+def _picker(ids):
+    """Function returning the tuple of prio at ids."""
+    get = itemgetter(*ids)
+    if len(ids) == 1:
+        return lambda prio: (get(prio),)
+    return get
 
 
 @dataclass
@@ -378,6 +407,12 @@ def _grow(root, prio, links):
         edges.append(best[x][2])
 
 
+def _remember(memo: dict, key, grown) -> None:
+    if len(memo) >= MEMO_SIZE:
+        memo.clear()
+    memo[key] = grown
+
+
 def decode(g: ClusteredGraph, genotype) -> TreeSolution:
     """Decode a priority vector into a feasible clustered spanning tree.
 
@@ -387,23 +422,38 @@ def decode(g: ClusteredGraph, genotype) -> TreeSolution:
     cluster-level edge is realized as the minimum-weight concrete edge between
     the two clusters (ties by lower endpoint ids).  The result is oriented
     away from the source.
+
+    A grown tree depends only on its key, the priorities it reads (a
+    cluster's own vertices, or every cluster's lowest-id vertex), so the
+    trees of recent keys are kept in ``g.memo`` and regrown only on a miss.
+    A disconnected subgraph is never kept and raises on every call.
     """
     if len(genotype) < g.n:
         raise ConfigurationError(
             f"genotype length {len(genotype)} is shorter than vertex count {g.n}"
         )
-    prio = genotype
+    # an array's items as Python numbers: negating an unsigned numpy item
+    # wraps, and the memo's keys would equate it with the int it holds
+    prio = genotype.tolist() if hasattr(genotype, "tolist") else genotype
     tree_edges = []
-    for cluster in g.clusters:
-        seed = min(cluster, key=lambda v: (-prio[v], v))
-        grown = _grow(seed, prio, g.intra_links)
-        if len(grown) != len(cluster) - 1:
-            raise InvalidStateError("cluster subgraph is not connected")
+    for cluster, key_of, memo in zip(g.clusters, g.cluster_keys, g.memo):
+        key = key_of(prio)
+        grown = memo.get(key)
+        if grown is None:
+            seed = min(cluster, key=lambda v: (-prio[v], v))
+            grown = _grow(seed, prio, g.intra_links)
+            if len(grown) != len(cluster) - 1:
+                raise InvalidStateError("cluster subgraph is not connected")
+            _remember(memo, key, grown)
         tree_edges += grown
-    cluster_prio = [prio[min(cluster)] for cluster in g.clusters]
-    grown = _grow(g.owner[g.source], cluster_prio, g.cluster_links)
-    if len(grown) != g.num_clusters - 1:
-        raise InvalidStateError("cluster-level graph is not connected")
+    cluster_prio = g.lead_key(prio)
+    memo = g.memo[-1]
+    grown = memo.get(cluster_prio)
+    if grown is None:
+        grown = _grow(g.owner[g.source], cluster_prio, g.cluster_links)
+        if len(grown) != g.num_clusters - 1:
+            raise InvalidStateError("cluster-level graph is not connected")
+        _remember(memo, cluster_prio, grown)
     tree_edges += grown
 
     neighbors = [[] for _ in range(g.n)]

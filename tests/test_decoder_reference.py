@@ -2,11 +2,14 @@
 
 Both must give the same parent array, distances and objective on every
 genotype; small alphabets make priority ties frequent, so the tie rules are
-exercised as well as the priority order.
+exercised as well as the priority order.  The decoder keeps grown trees in a
+per-graph memo, so sequences that revisit keys, as tree crossover does, and
+sequences that overflow the memo are checked call by call as well.
 """
 import pathlib
 import random
 
+import numpy as np
 import pytest
 
 import cluspt_reference
@@ -48,7 +51,13 @@ def assert_same_decoding(g, genotype):
     assert got.parent == want.parent
     assert got.dist == want.dist
     assert got.objective == want.objective
+    assert_memo_bounded(g)
     return got
+
+
+def assert_memo_bounded(g):
+    assert len(g.memo) == g.num_clusters + 1
+    assert all(len(table) <= cluspt.MEMO_SIZE for table in g.memo)
 
 
 GRAPHS = [f"fixture:{name}" for name in ("path4", "rings6", "blocks7", "euc5")] + [
@@ -73,6 +82,96 @@ def test_decode_matches_reference(label):
             assert_same_decoding(g, [rng.randrange(alphabet) for _ in range(g.n)])
 
 
+@pytest.mark.parametrize("label", GRAPHS)
+def test_memo_matches_reference_on_crossover_like_sequences(label):
+    g = graph(label)
+    rng = random.Random(label)
+    for alphabet in (2, g.n):
+        pair = [[rng.randrange(alphabet) for _ in range(g.n)] for _ in range(2)]
+        history = [list(x) for x in pair]
+        for step in range(150):
+            if step % 3 == 0:
+                # one gene of one genotype changes, as a mutation would
+                x = rng.choice(pair)
+                x[rng.randrange(g.n)] = rng.randrange(alphabet)
+                assert_same_decoding(g, x)
+                continue
+            # swap a mask between the two, as tree crossover does in place
+            a, b = pair
+            mask = rng.sample(range(g.n), rng.choice((1, 1, 2, 3, g.n // 2 or 1)))
+            for i in mask:
+                a[i], b[i] = b[i], a[i]
+            assert_same_decoding(g, a)
+            assert_same_decoding(g, b)
+            if rng.random() < 0.5:
+                # rejected: the swap is undone, back to keys decoded before
+                for i in mask:
+                    a[i], b[i] = b[i], a[i]
+                assert_same_decoding(g, a)
+                assert_same_decoding(g, b)
+            history.extend(list(x) for x in pair)
+        for x in rng.sample(history, 20):
+            assert_same_decoding(g, x)
+
+
+@pytest.mark.parametrize("label", ["fixture:rings6", "euclidean:30:1", "euclidean:60:3"])
+def test_memo_overflow_keeps_decoding_like_reference(label):
+    g = graph(label)
+    rng = random.Random(label)
+    seen = [[rng.randrange(g.n) for _ in range(g.n)] for _ in range(3 * cluspt.MEMO_SIZE)]
+    largest = 0
+    for x in seen:
+        assert_same_decoding(g, x)
+        largest = max(largest, max(len(table) for table in g.memo))
+    if g.n > 6:
+        # distinct keys outnumber the bound, so a table filled up and was cleared
+        assert largest == cluspt.MEMO_SIZE
+        assert len(g.memo[-1]) < len({tuple(x[min(c)] for c in g.clusters) for x in seen})
+    # keys dropped from the memo are grown again, and alike
+    for x in seen[: cluspt.MEMO_SIZE]:
+        assert_same_decoding(g, x)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint8, np.uint16])
+@pytest.mark.parametrize("label", GRAPHS)
+def test_array_genotypes_decode_as_their_integers(label, dtype):
+    g = graph(label)
+    rng = random.Random(label + str(dtype))
+    for _ in range(50):
+        x = [rng.randrange(g.n) for _ in range(g.n)]
+        want = cluspt_reference.decode(g, x)
+        # the list and the array share their memo keys; whichever comes first,
+        # the answer must not depend on it
+        for genotype in (x, np.array(x, dtype=dtype))[:: rng.choice((1, -1))]:
+            got = cluspt.decode(g, genotype)
+            assert (got.parent, got.dist, got.objective) == (want.parent, want.dist, want.objective)
+        assert_memo_bounded(g)
+
+
+def test_memo_hit_grows_nothing(monkeypatch):
+    g = graph("euclidean:30:1")
+    grown = []
+    original = cluspt._grow
+
+    def counting_grow(root, prio, links):
+        grown.append(root)
+        return original(root, prio, links)
+
+    monkeypatch.setattr(cluspt, "_grow", counting_grow)
+    x = [random.Random(7).randrange(g.n) for _ in range(g.n)]
+    first = cluspt.decode(g, x)
+    assert len(grown) == g.num_clusters + 1
+    again = cluspt.decode(g, list(x))
+    assert len(grown) == g.num_clusters + 1
+    assert (again.parent, again.dist, again.objective) == (first.parent, first.dist, first.objective)
+    # one changed priority regrows its own cluster, and the cluster-level
+    # tree only when it changed a cluster's lowest-id vertex
+    v = max(g.clusters[0])
+    x[v] = (x[v] + 1) % g.n
+    assert_same_decoding(g, x)
+    assert len(grown) == g.num_clusters + 2
+
+
 @pytest.mark.parametrize(
     "edges, clusters, message",
     [
@@ -90,3 +189,8 @@ def test_decode_rejects_disconnected_graphs_like_reference(edges, clusters, mess
     for decode in (cluspt.decode, cluspt_reference.decode):
         with pytest.raises(InvalidStateError, match=message):
             decode(g, [0, 1, 2])
+    # a failed growth is never kept: the same call raises again
+    for _ in range(2):
+        with pytest.raises(InvalidStateError, match=message):
+            cluspt.decode(g, [0, 1, 2])
+    assert not g.memo[-1]

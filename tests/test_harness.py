@@ -9,6 +9,7 @@ from mfltga.engine import RunRecord, TracePoint
 from mfltga import harness
 from mfltga.errors import ConfigurationError
 from mfltga.mfo import unified_alphabet
+from mfltga.problems import cluspt
 from mfltga.harness import (
     ExperimentConfig,
     ExperimentResult,
@@ -136,6 +137,25 @@ def test_resolve_tasks_replicates_and_labels():
     assert [t.task_id for t in tasks] == [1, 2, 3]
     assert all(t.dimension == 15 for t in tasks)
     assert labels == ["dtf:k=3,m=5"] * 3
+
+
+def test_resolve_tasks_parses_a_replicated_cluspt_file_once(monkeypatch):
+    parsed = []
+    original = cluspt.parse_instance
+
+    def counting_parse(text):
+        parsed.append(text)
+        return original(text)
+
+    monkeypatch.setattr(cluspt, "parse_instance", counting_parse)
+    monkeypatch.chdir(INSTANCES.parent)
+    config = ExperimentConfig(problems=["cluspt:instances/rings6.cluspt"], num_tasks=3)
+    tasks, labels = resolve_tasks(config)
+    assert len(parsed) == 1
+    assert [t.task_id for t in tasks] == [1, 2, 3]
+    assert labels == ["cluspt:instances/rings6.cluspt"] * 3
+    genotype = [5, 0, 3, 1, 4, 2]
+    assert len({t.objective(genotype) for t in tasks}) == 1
 
 
 def test_resolve_tasks_rejects_mixed_kinds():

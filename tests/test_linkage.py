@@ -192,6 +192,17 @@ def test_build_all_trees_falls_back_to_whole_population():
     tree_is_well_formed(trees[1], 4)
 
 
+def test_build_all_trees_rejects_ragged_or_empty_populations():
+    tasks = [sum_task(1, 4), sum_task(2, 4)]
+    pop = initialize_population(tasks, 8, random.Random(6))
+    pop.members[3].genotype.append(0)
+    with pytest.raises(InvalidStateError, match="one length"):
+        build_all_trees(pop, tasks)
+    pop.members.clear()
+    with pytest.raises(InvalidStateError, match="empty population"):
+        build_all_trees(pop, tasks)
+
+
 def test_build_tree_matches_scipy_average_linkage():
     # scipy's UPGMA names the i-th merge L + i as build_tree does; on inputs
     # without tied distances both must merge the same pairs at the same heights

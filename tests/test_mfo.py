@@ -50,6 +50,12 @@ def test_task_definition_validation():
     for fields in ((1, 3.5, 2), (1, True, 2), (1, 4, 2.0), (1.0, 4, 2), (True, 4, 2)):
         with pytest.raises(ConfigurationError, match="must be an int"):
             TaskDefinition(*fields, lambda g: 0.0)
+    # a known optimum is None or a finite number, and a bool is not one
+    for optimum in ("0", math.nan, math.inf, True):
+        with pytest.raises(ConfigurationError, match="known_optimum must be"):
+            TaskDefinition(1, 4, 2, lambda g: 0.0, known_optimum=optimum)
+    for optimum in (None, 0, -3, 2.5):
+        assert TaskDefinition(1, 4, 2, lambda g: 0.0, known_optimum=optimum).known_optimum == optimum
 
 
 def test_task_cost_charges_only_the_first_request():
