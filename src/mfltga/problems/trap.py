@@ -8,11 +8,12 @@ m*k - value, so the unique optimum (all ones) has cost 0.
 """
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 from ..errors import ConfigurationError
-from ..mfo import TaskDefinition
+from ..mfo import TaskDefinition, require_int
 
 
 @dataclass(frozen=True)
@@ -21,6 +22,8 @@ class TrapSpec:
     num_blocks: int  # m
 
     def __post_init__(self):
+        require_int("block_size", self.block_size)
+        require_int("num_blocks", self.num_blocks)
         if self.block_size < 1:
             raise ConfigurationError(f"block_size must be >= 1, got {self.block_size}")
         if self.num_blocks < 1:
@@ -31,7 +34,21 @@ class TrapSpec:
         return self.block_size * self.num_blocks
 
 
-_BITS = frozenset((0, 1))
+@lru_cache(maxsize=None)
+def _blocks(k: int, m: int):
+    """Split an m*k byte string into its m blocks of k bytes, in C."""
+    return struct.Struct(f"{k}s" * m).unpack
+
+
+def _first_non_bit(genes):
+    """(position, gene) of the first gene that is not a byte 0 or 1."""
+    for pos, gene in enumerate(genes):
+        try:
+            if bytearray((gene,)) in (b"\x00", b"\x01"):
+                continue
+        except (TypeError, ValueError):
+            pass
+        return pos, gene
 
 
 def evaluate(spec: TrapSpec, bits) -> int:
@@ -39,17 +56,29 @@ def evaluate(spec: TrapSpec, bits) -> int:
 
     A block with u ones costs k - score: 0 when u = k, else u + 1.  Summed
     over the m blocks that is (total ones) + m - (k + 1) * (all-ones blocks).
+
+    `bits` holds the ints 0 and 1 (bools count as ints): a list or tuple, or
+    an array read through its `tolist()` (a numpy integer or bool array, an
+    `array.array`).  Any other gene, a float such as 1.0 included, raises
+    ConfigurationError naming the first one.  The genes are read once into a
+    byte string; the bit check, the ones count and the all-ones block count
+    are then C-level passes over it.
     """
-    if len(bits) != spec.length:
+    k, m = spec.block_size, spec.num_blocks
+    if len(bits) != k * m:
         raise ConfigurationError(
             f"genotype length {len(bits)} does not match instance length {spec.length}"
         )
-    if not _BITS.issuperset(bits):
-        pos, gene = next((i, g) for i, g in enumerate(bits) if g not in _BITS)
+    if hasattr(bits, "tolist"):
+        bits = bits.tolist()  # an array's own buffer holds items wider than a byte
+    try:
+        genes = bytearray(bits)
+    except (TypeError, ValueError):
+        genes = None
+    if genes is None or genes.translate(None, b"\x00\x01"):
+        pos, gene = _first_non_bit(bits)
         raise ConfigurationError(f"gene {gene!r} at position {pos} is not a bit")
-    k = spec.block_size
-    ones = list(map(sum, zip(*[iter(bits)] * k)))
-    return sum(ones) + spec.num_blocks - (k + 1) * ones.count(k)
+    return genes.count(1) + m - (k + 1) * _blocks(k, m)(genes).count(b"\x01" * k)
 
 
 def make_task(spec: TrapSpec, task_id: int = 1) -> TaskDefinition:

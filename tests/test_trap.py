@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,29 @@ def test_block_rejects_non_bits():
         bits[7] = bad
         with pytest.raises(ConfigurationError, match=f"gene {bad} at position 7"):
             trap.evaluate(trap.TrapSpec(3, 3), bits)
+
+
+NON_BITS = [None, 2, -1, 256, "1", [1], 0.5, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("pos", [0, 7, 14])
+@pytest.mark.parametrize("gene", NON_BITS, ids=repr)
+def test_evaluate_rejects_every_non_bit_gene(gene, pos):
+    bits = [1] * 15
+    bits[pos] = gene
+    message = rf"^gene {re.escape(repr(gene))} at position {pos} is not a bit$"
+    with pytest.raises(ConfigurationError, match=message):
+        trap.evaluate(trap.TrapSpec(5, 3), bits)
+
+
+def test_evaluate_rejects_float_arrays_and_names_the_first_bad_gene():
+    bits = np.ones(15)
+    with pytest.raises(ConfigurationError, match="gene 1.0 at position 0 is not a bit"):
+        trap.evaluate(trap.TrapSpec(5, 3), bits)
+    bits = np.ones(15, dtype=np.int64)
+    bits[[4, 9]] = 3
+    with pytest.raises(ConfigurationError, match="gene 3 at position 4 is not a bit"):
+        trap.evaluate(trap.TrapSpec(5, 3), bits)
 
 
 def test_block_deception_all_zeros_is_second_best():
@@ -85,6 +109,12 @@ def test_spec_validation():
         trap.TrapSpec(0, 5)
     with pytest.raises(ConfigurationError):
         trap.TrapSpec(3, 0)
+
+
+@pytest.mark.parametrize("args", [(5.0, 3), (2, 2.0), (True, 3), (3, False), ("3", 3)])
+def test_spec_takes_only_ints(args):
+    with pytest.raises(ConfigurationError, match="must be an int"):
+        trap.TrapSpec(*args)
 
 
 def test_make_task_wires_the_objective():
