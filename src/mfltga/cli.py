@@ -65,7 +65,7 @@ def _cmd_run(options: dict) -> int:
     result = run_experiment(config)
     csv.writer(sys.stdout, lineterminator="\n").writerows(summary_csv_rows(summarize(result)))
     if config.out_path:
-        print(f"outputs written to {config.out_path}")
+        print(f"outputs written to {config.out_path}", file=sys.stderr)
     return 0
 
 

@@ -26,10 +26,13 @@ complete graphs with weights rounded to the nearest integer.
 
 Genotypes are integer priority vectors.  The decoder grows each cluster's
 internal tree and the cluster-level tree by highest-priority frontier
-expansion, realizes cluster-level edges as the cheapest concrete edge between
-the two clusters, then orients everything away from the source.  Each graph
-keeps a bounded memo of recently grown trees, so a cluster whose priorities
-were seen before is not regrown; decoding gives the same tree either way.
+expansion and realizes cluster-level edges as the cheapest concrete edge
+between the two clusters.  Each graph keeps a bounded memo of recently grown
+trees, so a cluster whose priorities were seen before is not regrown: a
+cluster's entry is its tree rooted at its seed, and the cluster-level entry
+lists the clusters top-down with the vertex each one is entered at.  A
+decode re-roots each cluster's tree at its entry vertex to orient everything
+away from the source; decoding gives the same tree either way.
 """
 from __future__ import annotations
 
@@ -77,19 +80,18 @@ class ClusteredGraph:
 
     @cached_property
     def intra_links(self) -> tuple:
-        """intra_links[u] lists (v, w, (u, v, w)) for each edge u-v inside a cluster."""
+        """intra_links[u] lists (w, v), ascending, for each edge u-v of weight w in a cluster."""
         owner = self.owner
         return tuple(
-            [(v, w, (u, v, w)) for v, w in self.adjacency[u].items() if owner[v] == owner[u]]
+            sorted((w, v) for v, w in self.adjacency[u].items() if owner[v] == owner[u])
             for u in range(self.n)
         )
 
     @cached_property
-    def cluster_links(self) -> tuple:
-        """cluster_links[a] lists (b, w, (lo, hi, w)) for each cluster b adjacent to a.
+    def cluster_edges(self) -> dict:
+        """cluster_edges[a, b], a < b, is (w, lo, hi) for the cheapest edge lo-hi between them.
 
-        lo-hi is the cheapest concrete edge between the two clusters, ties
-        broken by lower endpoint ids.
+        Ties are broken by lower endpoint ids.
         """
         owner = self.owner
         cheapest = {}
@@ -100,11 +102,19 @@ class ClusteredGraph:
                 cand = (w, min(u, v), max(u, v))
                 if pair not in cheapest or cand < cheapest[pair]:
                     cheapest[pair] = cand
+        return cheapest
+
+    @cached_property
+    def cluster_links(self) -> tuple:
+        """cluster_links[a] lists (w, b), ascending, for each cluster b adjacent to a.
+
+        w is the weight of the cheapest edge between the two clusters.
+        """
         links = [[] for _ in self.clusters]
-        for (a, b), (w, lo, hi) in cheapest.items():
-            links[a].append((b, w, (lo, hi, w)))
-            links[b].append((a, w, (lo, hi, w)))
-        return tuple(links)
+        for (a, b), (w, _, _) in self.cluster_edges.items():
+            links[a].append((w, b))
+            links[b].append((w, a))
+        return tuple(sorted(pairs) for pairs in links)
 
     @cached_property
     def cluster_keys(self) -> tuple:
@@ -118,7 +128,11 @@ class ClusteredGraph:
 
     @cached_property
     def memo(self) -> tuple:
-        """Grown trees by key: one table per cluster, then the cluster-level one."""
+        """Grown trees by key: one table per cluster, then the cluster-level one.
+
+        A cluster table maps a key to the ``_grow`` map rooted at the
+        cluster's seed; the cluster-level table maps one to ``_cluster_level``.
+        """
         return tuple({} for _ in range(self.num_clusters + 1))
 
     def edges(self):
@@ -377,40 +391,55 @@ def _reachable(adjacency, start, allowed) -> set:
 def _grow(root, prio, links):
     """Tree grown from root by highest-priority frontier expansion.
 
-    links[x] lists (y, w, edge) for every item y joined to x by a link of
-    weight w realized as the concrete edge (u, v, w).  Each step adds the
-    frontier item with the highest prio[y], ties broken by lower id, attached
-    through its lowest-weight link, then the one from the lower tree-side
-    item.  Returns the concrete edges in the order added; the tree spans only
-    what root can reach.
+    links[x] lists (w, y) for every item y joined to x by a link of weight w,
+    in ascending order.  Each step adds the frontier item with the highest
+    prio[y], ties broken by lower id, attached through its lowest-weight link
+    into the tree, then the one from the lower tree-side item: the first of
+    links[y] that reaches the tree.  Returns {root: None, y: (w, x), ...}:
+    each item added maps to that link, in the order added, so the map is
+    top-down from root.  The tree spans only what root can reach.
     """
-    reached = {root}
-    best = {}
+    tree = {root: None}
+    seen = {root}
     frontier = []
-    edges = []
     x = root
     while True:
-        for y, w, edge in links[x]:
-            if y in reached:
-                continue
-            cand = (w, x, edge)
-            held = best.get(y)
-            if held is None:
+        for _, y in links[x]:
+            if y not in seen:
+                seen.add(y)
                 heappush(frontier, (-prio[y], y))
-                best[y] = cand
-            elif cand < held:
-                best[y] = cand
         if not frontier:
-            return edges
+            return tree
         x = heappop(frontier)[1]
-        reached.add(x)
-        edges.append(best[x][2])
+        for link in links[x]:
+            if link[1] in tree:
+                tree[x] = link
+                break
 
 
 def _remember(memo: dict, key, grown) -> None:
     if len(memo) >= MEMO_SIZE:
         memo.clear()
     memo[key] = grown
+
+
+def _cluster_level(g: ClusteredGraph, cluster_prio) -> list:
+    """Top-down (cluster, entry vertex, outside parent, weight) of the cluster-level tree.
+
+    The source's cluster comes first, entered at the source with no parent;
+    every other cluster is entered through the cheapest concrete edge from
+    its tree-side cluster.
+    """
+    root = g.owner[g.source]
+    tops = _grow(root, cluster_prio, g.cluster_links)
+    if len(tops) != g.num_clusters:
+        raise InvalidStateError("cluster-level graph is not connected")
+    level = [(root, g.source, None, 0)]
+    for b, (w, a) in islice(tops.items(), 1, None):
+        _, lo, hi = g.cluster_edges[min(a, b), max(a, b)]
+        entry, outside = (lo, hi) if g.owner[lo] == b else (hi, lo)
+        level.append((b, entry, outside, w))
+    return level
 
 
 def decode(g: ClusteredGraph, genotype) -> TreeSolution:
@@ -427,6 +456,14 @@ def decode(g: ClusteredGraph, genotype) -> TreeSolution:
     cluster's own vertices, or every cluster's lowest-id vertex), so the
     trees of recent keys are kept in ``g.memo`` and regrown only on a miss.
     A disconnected subgraph is never kept and raises on every call.
+
+    A cluster's entry is its tree rooted at its seed; the cluster-level entry
+    lists the clusters top-down with the vertex each is entered at.  Each
+    cluster is re-rooted at its entry vertex by reversing the path from there
+    to the seed; its other vertices keep their seed-side parents.  Every
+    distance is the one addition ``dist[parent] + w`` along the unique tree
+    path from the source, the same sums in the same order however the trees
+    were memoized, so the result is bit-equal whatever the weights.
     """
     if len(genotype) < g.n:
         raise ConfigurationError(
@@ -435,45 +472,46 @@ def decode(g: ClusteredGraph, genotype) -> TreeSolution:
     # an array's items as Python numbers: negating an unsigned numpy item
     # wraps, and the memo's keys would equate it with the int it holds
     prio = genotype.tolist() if hasattr(genotype, "tolist") else genotype
-    tree_edges = []
+    trees = []
     for cluster, key_of, memo in zip(g.clusters, g.cluster_keys, g.memo):
         key = key_of(prio)
-        grown = memo.get(key)
-        if grown is None:
+        tree = memo.get(key)
+        if tree is None:
             seed = min(cluster, key=lambda v: (-prio[v], v))
-            grown = _grow(seed, prio, g.intra_links)
-            if len(grown) != len(cluster) - 1:
+            tree = _grow(seed, prio, g.intra_links)
+            if len(tree) != len(cluster):
                 raise InvalidStateError("cluster subgraph is not connected")
-            _remember(memo, key, grown)
-        tree_edges += grown
+            _remember(memo, key, tree)
+        trees.append(tree)
     cluster_prio = g.lead_key(prio)
     memo = g.memo[-1]
-    grown = memo.get(cluster_prio)
-    if grown is None:
-        grown = _grow(g.owner[g.source], cluster_prio, g.cluster_links)
-        if len(grown) != g.num_clusters - 1:
-            raise InvalidStateError("cluster-level graph is not connected")
-        _remember(memo, cluster_prio, grown)
-    tree_edges += grown
+    level = memo.get(cluster_prio)
+    if level is None:
+        level = _cluster_level(g, cluster_prio)
+        _remember(memo, cluster_prio, level)
 
-    neighbors = [[] for _ in range(g.n)]
-    for u, v, w in tree_edges:
-        neighbors[u].append((v, w))
-        neighbors[v].append((u, w))
     parent = [None] * g.n
-    dist = [math.inf] * g.n
+    dist = [None] * g.n
     dist[g.source] = 0.0
-    queue = deque([g.source])
-    seen = {g.source}
-    while queue:
-        u = queue.popleft()
-        for v, w in neighbors[u]:
-            if v not in seen:
-                seen.add(v)
-                parent[v] = u
-                dist[v] = dist[u] + w
-                queue.append(v)
-    if len(seen) != g.n:
+    for c, x, outside, w in level:
+        if outside is not None:
+            parent[x] = outside
+            dist[x] = dist[outside] + w
+        tree = trees[c]
+        # reverse the path from the entry vertex up to the seed
+        up = tree[x]
+        while up is not None:
+            w, p = up
+            up = tree[p]
+            parent[p] = x
+            dist[p] = dist[x] + w
+            x = p
+        for v, up in tree.items():
+            if dist[v] is None:
+                w, p = up
+                parent[v] = p
+                dist[v] = dist[p] + w
+    if None in dist:
         raise InvalidStateError("decoded edge set does not span the graph")
     return TreeSolution(parent=parent, dist=dist, objective=float(sum(dist)))
 

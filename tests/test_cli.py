@@ -18,9 +18,11 @@ HEADER = ["instance", "mode", "task", "runs", "num_opt", "mean_num_evals", "bf",
 
 
 def printed_table(out):
-    """The summary table `run` printed, parsed as CSV (header row first)."""
-    lines = [line for line in out.splitlines() if not line.startswith("outputs written to ")]
-    rows = list(csv.reader(lines))
+    """The summary table `run` printed, parsed as CSV (header row first).
+
+    stdout holds the table alone, so every line must parse as a full row.
+    """
+    rows = list(csv.reader(out.splitlines()))
     assert all(len(row) == len(HEADER) for row in rows)
     return rows
 
@@ -48,7 +50,10 @@ def test_run_subcommand_prints_summary_and_writes_outputs(tmp_path, capsys):
         ]
     )
     assert code == 0
-    rows = printed_table(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    rows = printed_table(captured.out)
+    # the note on where outputs went is not part of the table
+    assert captured.err == f"outputs written to {tmp_path}\n"
     assert rows[0] == HEADER
     assert [row[:3] for row in rows[1:]] == [["dtf:k=3,m=2", "mt", str(t)] for t in (1, 2)]
     with open(tmp_path / "summary.csv", newline="", encoding="utf-8") as handle:

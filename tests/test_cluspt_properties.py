@@ -3,8 +3,10 @@
 The decoder runs on generated sparse EXPLICIT instances.  Each cluster gets a
 random spanning tree plus a few extra internal edges, and the clusters are
 joined by a random tree of inter-cluster edges plus extras, so some cluster
-pairs share no edge and some share several.  Weights come from a three-value
-set, so cheapest inter-cluster edges often tie.
+pairs share no edge and some share several.  Each instance draws its weights
+from one three-value set, so cheapest inter-cluster edges often tie: either
+small integers or non-dyadic floats of mixed magnitude, whose sums round
+differently when added in another order than along the tree path.
 
 The parser runs on the fixtures in instances/ with a few lines deleted,
 inserted or changed, and may fail only with InstanceFormatError.
@@ -20,7 +22,7 @@ import cluspt_reference
 from mfltga.errors import InstanceFormatError
 from mfltga.problems import cluspt
 
-WEIGHTS = st.sampled_from([1, 2, 3])
+WEIGHT_SETS = st.sampled_from([(1, 2, 3), (0.1, 0.7, 1e6 + 0.1)])
 
 
 @st.composite
@@ -33,10 +35,11 @@ def sparse_instances(draw):
     for size in sizes:
         members.append(order[start : start + size])
         start += size
+    weights = st.sampled_from(draw(WEIGHT_SETS))
     edges = {}
 
     def join(u, v):
-        edges.setdefault((min(u, v), max(u, v)), draw(WEIGHTS))
+        edges.setdefault((min(u, v), max(u, v)), draw(weights))
 
     for ids in members:
         for i in range(1, len(ids)):

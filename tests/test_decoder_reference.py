@@ -4,7 +4,10 @@ Both must give the same parent array, distances and objective on every
 genotype; small alphabets make priority ties frequent, so the tie rules are
 exercised as well as the priority order.  The decoder keeps grown trees in a
 per-graph memo, so sequences that revisit keys, as tree crossover does, and
-sequences that overflow the memo are checked call by call as well.
+sequences that overflow the memo are checked call by call as well.  Graphs
+with non-dyadic float weights check that every distance is summed along the
+tree path from the source, also when a memoized cluster tree is re-rooted at
+a new entry vertex.
 """
 import pathlib
 import random
@@ -45,6 +48,45 @@ def clustered_euclidean_text(n, num_clusters, seed):
     return "\n".join(lines) + "\n"
 
 
+# non-dyadic weights of mixed magnitude: a distance summed in another order
+# than along the tree path from the source rounds differently
+FLOAT_WEIGHTS = (0.1, 0.7, 0.3, 2.5e5 + 0.7, 1e6 + 0.1)
+
+
+def clustered_float_text(n, num_clusters, seed):
+    """Sparse EXPLICIT instance whose edge weights are drawn from FLOAT_WEIGHTS.
+
+    Each cluster is a path plus random chords, and consecutive clusters are
+    joined by an edge plus random extra inter-cluster edges.
+    """
+    rng = random.Random(seed)
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    members = [sorted(order[c::num_clusters]) for c in range(num_clusters)]
+    edges = {}
+    for ids in members:
+        for u, v in zip(ids, ids[1:]):
+            edges[u, v] = rng.choice(FLOAT_WEIGHTS)
+    for a, b in zip(members, members[1:]):
+        edges[min(a[0], b[-1]), max(a[0], b[-1])] = rng.choice(FLOAT_WEIGHTS)
+    for _ in range(2 * n):
+        u, v = rng.sample(range(1, n + 1), 2)
+        edges.setdefault((min(u, v), max(u, v)), rng.choice(FLOAT_WEIGHTS))
+    lines = [
+        f"NAME: float{n}_{seed}",
+        f"DIMENSION: {n}",
+        f"CLUSTERS: {num_clusters}",
+        f"SOURCE: {rng.randint(1, n)}",
+        "EDGE_WEIGHT_TYPE: EXPLICIT",
+        "EDGE_SECTION",
+        *(f"{u} {v} {w}" for (u, v), w in sorted(edges.items())),
+        "CLUSTER_SECTION",
+        *(" ".join(map(str, [c, *ids, -1])) for c, ids in enumerate(members, start=1)),
+        "EOF",
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def assert_same_decoding(g, genotype):
     got = cluspt.decode(g, genotype)
     want = cluspt_reference.decode(g, genotype)
@@ -60,9 +102,11 @@ def assert_memo_bounded(g):
     assert all(len(table) <= cluspt.MEMO_SIZE for table in g.memo)
 
 
-GRAPHS = [f"fixture:{name}" for name in ("path4", "rings6", "blocks7", "euc5")] + [
-    f"euclidean:{n}:{seed}" for n, seed in ((30, 1), (30, 2), (60, 3))
-]
+GRAPHS = (
+    [f"fixture:{name}" for name in ("path4", "rings6", "blocks7", "euc5")]
+    + [f"euclidean:{n}:{seed}" for n, seed in ((30, 1), (30, 2), (60, 3))]
+    + [f"float:{n}:{seed}" for n, seed in ((30, 4), (60, 5))]
+)
 
 
 def graph(label):
@@ -70,7 +114,8 @@ def graph(label):
     if kind == "fixture":
         return cluspt.parse_file(INSTANCES / f"{rest}.cluspt")
     n, seed = map(int, rest.split(":"))
-    return cluspt.parse_instance(clustered_euclidean_text(n, n // 6, seed))
+    text = {"euclidean": clustered_euclidean_text, "float": clustered_float_text}[kind]
+    return cluspt.parse_instance(text(n, n // 6, seed))
 
 
 @pytest.mark.parametrize("label", GRAPHS)
@@ -170,6 +215,59 @@ def test_memo_hit_grows_nothing(monkeypatch):
     x[v] = (x[v] + 1) % g.n
     assert_same_decoding(g, x)
     assert len(grown) == g.num_clusters + 2
+
+
+def entry_vertices(g, parent):
+    """entry[c] is the vertex by which cluster c's subtree hangs from the source."""
+    owner = g.owner
+    return {owner[v]: v for v, p in enumerate(parent) if p is None or owner[p] != owner[v]}
+
+
+def seed_of(cluster, prio):
+    return min(cluster, key=lambda v: (-prio[v], v))
+
+
+def lead_change_moving_an_entry(g, rng):
+    """A genotype x and a change y of cluster c's lowest-id priority that moves d.
+
+    Returns (x, y, c, d): under y, cluster d is entered at a vertex that is
+    neither its entry under x nor its seed, so decoding y re-roots d's tree.
+    """
+    for _ in range(200):
+        x = [rng.randrange(g.n) for _ in range(g.n)]
+        before = entry_vertices(g, cluspt_reference.decode(g, x).parent)
+        for c, cluster in enumerate(g.clusters):
+            for value in range(g.n):
+                y = list(x)
+                y[min(cluster)] = value
+                after = entry_vertices(g, cluspt_reference.decode(g, y).parent)
+                for d, entry in after.items():
+                    if d != c and entry not in (before[d], seed_of(g.clusters[d], x)):
+                        return x, y, c, d
+    raise AssertionError("no lead priority change moved another cluster's entry vertex")
+
+
+@pytest.mark.parametrize("label", ["euclidean:30:1", "float:30:4"])
+def test_moved_entry_vertex_reroots_the_memoized_cluster(monkeypatch, label):
+    g = graph(label)
+    x, y, c, d = lead_change_moving_an_entry(g, random.Random(label))
+    grown = []
+    original = cluspt._grow
+
+    def counting_grow(root, prio, links):
+        grown.append(("level" if links is g.cluster_links else "cluster", root))
+        return original(root, prio, links)
+
+    monkeypatch.setattr(cluspt, "_grow", counting_grow)
+    first = assert_same_decoding(g, x)
+    tree = g.memo[d][g.cluster_keys[d](x)]
+    grown.clear()
+    got = assert_same_decoding(g, y)
+    # cluster c and the cluster-level tree are regrown, and nothing else
+    assert sorted(grown) == [("cluster", seed_of(g.clusters[c], y)), ("level", g.owner[g.source])]
+    # cluster d hangs from a new entry vertex, re-rooted from its memo entry
+    assert entry_vertices(g, got.parent)[d] != entry_vertices(g, first.parent)[d]
+    assert g.memo[d][g.cluster_keys[d](y)] is tree
 
 
 @pytest.mark.parametrize(
