@@ -355,6 +355,7 @@ def write_outputs(result: ExperimentResult) -> None:
             for row in rows:
                 writer.writerow(row[:2] + ["" if x is None else repr(x) for x in row[2:]])
     payload = dataclasses.asdict(result.config)
+    payload["out_path"] = os.fspath(out)
     payload["instances"] = list(result.labels)
     payload["run_seeds"] = [result.config.run_seed(r) for r in range(result.config.runs)]
     payload["seed_policy"] = "run r uses seed = base_seed XOR r"

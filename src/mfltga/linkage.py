@@ -46,27 +46,23 @@ class LinkageTree:
         return [self.clusters[i] for i in order]
 
 
-def _entropy_bits(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
+def _plogp_table(n_rows: int) -> np.ndarray:
+    """t[c] = p * log2(p) for p = c / n_rows, with t[0] = 0.0.
+
+    p comes from an int64 true division and each term from the numpy
+    operations an entropy over one count vector uses, so every term is
+    bit-equal to the one that entropy computes.
+    """
+    p = np.arange(1, n_rows + 1) / np.int64(n_rows)
+    return np.concatenate(([0.0], p * np.log2(p)))
 
 
-def _compact(column: np.ndarray):
-    """Map a column to dense codes 0..card-1 (counts preserved)."""
-    _, codes = np.unique(column, return_inverse=True)
-    card = int(codes.max()) + 1 if codes.size else 0
-    return codes, card
-
-
-def _pair_distance(cx, card_x, hx, cy, card_y, hy) -> float:
-    joint = np.bincount(cx * card_y + cy, minlength=card_x * card_y)
-    hxy = _entropy_bits(joint)
-    if hxy == 0.0:
-        return 0.0
-    return 2.0 - (hx + hy) / hxy
+def _distances(ent: np.ndarray, hxy: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """2 - (H(i) + H(j)) / H(i, j) per gene pair, 0.0 where H(i, j) == 0."""
+    dist = np.zeros_like(hxy)
+    live = hxy != 0.0
+    dist[live] = 2.0 - (ent[i] + ent[j])[live] / hxy[live]
+    return dist
 
 
 def _binary_distances(high: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -82,43 +78,72 @@ def _binary_distances(high: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndar
     codes = high.astype(np.int64)
     ones = codes.sum(axis=0)
     n11 = codes.T @ codes
-    p = np.arange(1, n_rows + 1) / np.int64(n_rows)
-    term = np.concatenate(([0.0], p * np.log2(p)))
+    term = _plogp_table(n_rows)
     ent = -(term[n_rows - ones] + term[ones])
     both = n11[i, j]
     hxy = -(term[n_rows - ones[i] - ones[j] + both] + term[ones[j] - both]
             + term[ones[i] - both] + term[both])
-    dist = np.zeros_like(hxy)
-    live = hxy != 0.0
-    dist[live] = 2.0 - (ent[i] + ent[j])[live] / hxy[live]
-    return dist
+    return _distances(ent, hxy, i, j)
 
 
-def _loop_distances(data: np.ndarray) -> np.ndarray:
-    """Distances of all gene pairs in row-major upper-triangle order, one
-    joint bincount per pair."""
-    n_genes = data.shape[1]
-    codes = []
-    cards = []
-    ents = []
-    for g in range(n_genes):
-        c, card = _compact(data[:, g])
-        codes.append(c)
-        cards.append(card)
-        ents.append(_entropy_bits(np.bincount(c, minlength=card)))
-    return np.array([
-        _pair_distance(codes[i], cards[i], ents[i], codes[j], cards[j], ents[j])
-        for i in range(n_genes)
-        for j in range(i + 1, n_genes)
-    ])
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """True where a value run starts in each row of a row-sorted 2-d array."""
+    first = np.ones(ordered.shape, dtype=bool)
+    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    return first
+
+
+def _run_entropies(term: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row's value runs, summed in run order.
+
+    Rows with the same number k of runs are summed together as one
+    C-contiguous (rows x k) matrix of p * log2(p) terms: numpy sums each row
+    of it exactly as it sums that row alone, so each entropy is bit-equal to
+    a 1-d sum over the row's non-zero counts in ascending value order.
+    """
+    starts = np.flatnonzero(first)
+    terms = term[np.diff(starts, append=first.size)]
+    sizes = first.sum(axis=1)
+    offsets = np.cumsum(sizes) - sizes
+    ent = np.empty(len(sizes))
+    for k in np.flatnonzero(np.bincount(sizes)):
+        rows = np.flatnonzero(sizes == k)
+        ent[rows] = -terms[offsets[rows, None] + np.arange(k)].sum(axis=1)
+    return ent
+
+
+def _wide_distances(data: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Distances of gene pairs (i, j) in a sample over any alphabet.
+
+    Each gene's values get dense codes 0..card-1 in value order.  Each pair's
+    joint cells code_i * width + code_j are sorted within the pair, so its
+    non-zero cells appear as runs in the order a joint bincount lists them,
+    and all marginal and joint entropies come from the same run sums.
+    """
+    genes = data.T
+    order = np.argsort(genes, axis=1)
+    first = _run_starts(np.take_along_axis(genes, order, axis=1))
+    codes = np.empty(genes.shape, dtype=np.int64)
+    np.put_along_axis(codes, order, np.cumsum(first, axis=1) - 1, axis=1)
+    width = int(codes.max()) + 1
+    cells = np.sort(codes[i] * width + codes[j], axis=1)
+    term = _plogp_table(data.shape[0])
+    ent = _run_entropies(term, first)
+    hxy = _run_entropies(term, _run_starts(cells))
+    return _distances(ent, hxy, i, j)
 
 
 def proximity_matrix(rows) -> np.ndarray:
     """Symmetric L x L gene-distance matrix with a zero diagonal.
 
     A sample whose every column holds at most two distinct values takes its
-    joint counts from one integer matrix product; wider alphabets take the
-    pair loop.  Both give bit-equal distances.
+    joint counts from one integer matrix product.  Wider alphabets count the
+    joint cells of all gene pairs in one sort of every pair's cell codes, and
+    sum the entropies of pairs with equally many non-zero cells together, as
+    rows of one matrix.  Both paths sum each entropy's p * log2(p) terms in
+    the order a per-pair joint bincount lists its non-zero cells, with the
+    same numpy reductions, so their distances are bit-equal to one entropy
+    computed per pair.
     """
     try:
         data = np.asarray(rows)
@@ -132,7 +157,7 @@ def proximity_matrix(rows) -> np.ndarray:
     if np.all((data == lo) | (data == hi)):
         upper = _binary_distances(data != lo, i, j)
     else:
-        upper = _loop_distances(data)
+        upper = _wide_distances(data, i, j)
     dist = np.zeros((n_genes, n_genes))
     dist[i, j] = upper
     # mirrored, not recomputed: summing (j, i)'s cells in their own order can

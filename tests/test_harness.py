@@ -329,6 +329,16 @@ def test_run_experiment_emits_outputs(tmp_path):
     assert list(payload) == fields + ["instances", "run_seeds", "seed_policy"]
 
 
+def test_run_experiment_writes_a_path_out_path_as_a_string(tmp_path):
+    config = ExperimentConfig(
+        problems=["dtf:k=1,m=2"], pop_size=4, max_evals=100, runs=1, out_path=tmp_path / "out"
+    )
+    result = run_experiment(config)
+    assert result.mt_records is not None
+    payload = json.loads((tmp_path / "out" / "config.json").read_text())
+    assert payload["out_path"] == str(tmp_path / "out")
+
+
 def test_run_experiment_rejects_an_out_path_it_cannot_create(tmp_path, monkeypatch):
     calls = []
     original = harness.resolve_tasks

@@ -5,7 +5,8 @@ flip a UPGMA tie and with it the merge order.  Samples whose columns hold at
 most two values take the all-pairs integer counts; the generated binary
 samples cover a single row, a single gene, constant columns, two-value columns
 that are not 0/1, numpy bool arrays and list-of-lists input.  Wider alphabets
-take the pair loop.
+take the all-pairs sorted cell counts with entropies summed in groups of pairs
+that have equally many non-zero cells.
 """
 import numpy as np
 import pytest
@@ -63,6 +64,48 @@ def test_population_sized_binary_samples_match_the_pair_loop(n_rows):
     assert_byte_equal(rows.tolist())
 
 
+def joint_cell_counts(rows):
+    """Number of distinct (x, y) value pairs of every gene pair."""
+    return [len(set(zip(rows[:, a], rows[:, b])))
+            for a in range(rows.shape[1]) for b in range(a + 1, rows.shape[1])]
+
+
+def converged_sample():
+    # a few columns have converged to 1-3 values, so pairs hold 1 to 32
+    # non-zero joint cells: sums under 8 terms and pairwise sums both occur
+    rng = np.random.default_rng(7)
+    rows = rng.integers(0, 30, (32, 30))
+    rows[:, 0] = 4
+    rows[:, 1] = 9
+    rows[:, 2] = rng.integers(0, 2, 32)
+    rows[:, 3] = rng.integers(0, 3, 32) * 5
+    cells = joint_cell_counts(rows)
+    assert min(cells) == 1 and max(cells) >= 8 and len(set(cells)) >= 8
+    return rows
+
+
+def constant_but_one_sample():
+    # every pair of constant columns has H(x, y) == 0 and distance 0
+    rows = np.full((24, 12), 3)
+    rows[:, 5] = np.arange(24) % 5
+    assert min(joint_cell_counts(rows)) == 1
+    return rows
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: np.random.default_rng(16).integers(0, 30, (16, 30)), id="16x30-alphabet30"),
+    pytest.param(lambda: np.random.default_rng(32).integers(0, 30, (32, 30)), id="32x30-alphabet30"),
+    pytest.param(lambda: np.random.default_rng(100).integers(0, 100, (32, 100)), id="32x100-alphabet100"),
+    pytest.param(converged_sample, id="converged-columns"),
+    pytest.param(constant_but_one_sample, id="constant-but-one"),
+])
+def test_population_sized_wide_samples_match_the_pair_loop(make):
+    # CluSPT trees are fitted on 16-32 rows of n-letter priorities
+    rows = make()
+    assert max(len(set(column)) for column in rows.T) > 2  # the wide path
+    assert_byte_equal(rows)
+
+
 @st.composite
 def wide_samples(draw):
     """Rows over a 3..30-letter alphabet with one column holding three values."""
@@ -84,18 +127,18 @@ def test_wide_alphabets_match_the_pair_loop(rows):
 
 
 def test_the_path_follows_the_column_cardinalities(monkeypatch):
-    loop_calls = []
-    loop = linkage._loop_distances
+    wide_calls = []
+    wide = linkage._wide_distances
 
-    def counted(data):
-        loop_calls.append(1)
-        return loop(data)
+    def counted(*args):
+        wide_calls.append(1)
+        return wide(*args)
 
-    monkeypatch.setattr(linkage, "_loop_distances", counted)
+    monkeypatch.setattr(linkage, "_wide_distances", counted)
     rng = np.random.default_rng(3)
     linkage.proximity_matrix(np.where(rng.random((64, 20)) < 0.5, 7, 3))
-    assert loop_calls == []
+    assert wide_calls == []
     ternary = rng.integers(0, 2, (64, 20))
     ternary[0, 5] = 2
     linkage.proximity_matrix(ternary)
-    assert loop_calls == [1]
+    assert wide_calls == [1]
