@@ -171,52 +171,43 @@ def build_tree(task_id: int, rows) -> LinkageTree:
 
     rows are the task-space gene vectors of the individuals the tree is fitted
     on.
-    Merge order: repeatedly join the pair of active clusters at minimum
+    Merge order: repeatedly join the pair of live clusters at minimum
     average-linkage distance; among equal minima the pair with the
     lexicographically smallest (min cluster id, max cluster id) wins.  A tree
     over L genes always holds exactly 2L-1 nodes.
+
+    Every merge is one argmin over the (2L-1) x (2L-1) distance matrix, whose
+    diagonal, not-yet-created rows and merged rows and columns hold inf, so
+    only live pairs compete.  The matrix is exactly symmetric (the proximity
+    matrix mirrors its upper triangle, and each Lance-Williams row is written
+    to both its row and its column), so the first row-major minimum is the
+    tie winner, found in the row of its smaller id.
     """
-    if len(rows) == 0:
-        raise InvalidStateError("cannot build a linkage tree from an empty population")
     base = proximity_matrix(rows)
     n_genes = base.shape[0]
     total = 2 * n_genes - 1
     clusters = [(g,) for g in range(n_genes)]
     children = [None] * n_genes
     merge_distance = [None] * n_genes
-    if n_genes == 1:
-        return LinkageTree(task_id, clusters, children, merge_distance)
+    sizes = [1] * n_genes
 
     dist = np.full((total, total), np.inf)
     dist[:n_genes, :n_genes] = base
     np.fill_diagonal(dist, np.inf)
-    active = list(range(n_genes))
-    sizes = {g: 1 for g in range(n_genes)}
-
-    while len(active) > 1:
-        act = np.asarray(active)
-        sub = dist[np.ix_(act, act)]
-        flat = int(np.argmin(sub))
-        ai, aj = divmod(flat, len(act))
-        # active ids are kept ascending, so the first row-major minimum is the
-        # lexicographically smallest (min id, max id) pair among the ties
-        id_i, id_j = int(act[ai]), int(act[aj])
-        if id_i > id_j:
-            id_i, id_j = id_j, id_i
-        new_id = len(clusters)
-        merged = tuple(sorted(clusters[id_i] + clusters[id_j]))
-        clusters.append(merged)
+    for new_id in range(n_genes, total):
+        id_i, id_j = divmod(int(np.argmin(dist)), total)
+        clusters.append(tuple(sorted(clusters[id_i] + clusters[id_j])))
         children.append((id_i, id_j))
         merge_distance.append(float(dist[id_i, id_j]))
         si, sj = sizes[id_i], sizes[id_j]
-        sizes[new_id] = si + sj
-        rest = [o for o in active if o != id_i and o != id_j]
-        if rest:
-            r = np.asarray(rest)
-            updated = (si * dist[id_i, r] + sj * dist[id_j, r]) / (si + sj)
-            dist[new_id, r] = updated
-            dist[r, new_id] = updated
-        active = rest + [new_id]
+        sizes.append(si + sj)
+        # inf entries (merged, not yet created, the pair itself) stay inf, as
+        # si, sj >= 1
+        updated = (si * dist[id_i] + sj * dist[id_j]) / (si + sj)
+        dist[new_id] = updated
+        dist[:, new_id] = updated
+        dist[id_i] = dist[id_j] = np.inf
+        dist[:, id_i] = dist[:, id_j] = np.inf
 
     return LinkageTree(task_id, clusters, children, merge_distance)
 

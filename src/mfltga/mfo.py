@@ -55,6 +55,8 @@ class TaskDefinition:
             raise ConfigurationError(f"task {self.task_id}: dimension must be >= 1")
         if self.alphabet_size < 2:
             raise ConfigurationError(f"task {self.task_id}: alphabet_size must be >= 2")
+        if not callable(self.objective):
+            raise ConfigurationError(f"task {self.task_id}: objective must be callable")
         opt = self.known_optimum
         if opt is not None and (
             isinstance(opt, bool) or not isinstance(opt, (int, float)) or not math.isfinite(opt)

@@ -1,8 +1,10 @@
-"""The gene-distance matrix as it stood before the all-pairs counts: a test oracle.
+"""Linkage learning as it stood before its vectorised rewrites: a test oracle.
 
 ``proximity_matrix``, ``_compact``, ``_entropy_bits`` and ``_pair_distance``
-are kept as they were, with one ``bincount`` and one entropy per gene pair.
-Nothing under ``src/`` imports this module.
+are kept as they were before the all-pairs counts, with one ``bincount`` and
+one entropy per gene pair.  ``build_tree`` keeps the UPGMA merge loop as it
+was before the masked-matrix argmin: one ``np.ix_`` submatrix of the active
+clusters per merge.  Nothing under ``src/`` imports this module.
 """
 from __future__ import annotations
 
@@ -55,3 +57,50 @@ def proximity_matrix(rows) -> np.ndarray:
             dist[i, j] = d
             dist[j, i] = d
     return dist
+
+
+def build_tree(rows):
+    """(clusters, children, merge_distance) of the average-linkage tree."""
+    if len(rows) == 0:
+        raise InvalidStateError("cannot build a linkage tree from an empty population")
+    base = proximity_matrix(rows)
+    n_genes = base.shape[0]
+    total = 2 * n_genes - 1
+    clusters = [(g,) for g in range(n_genes)]
+    children = [None] * n_genes
+    merge_distance = [None] * n_genes
+    if n_genes == 1:
+        return clusters, children, merge_distance
+
+    dist = np.full((total, total), np.inf)
+    dist[:n_genes, :n_genes] = base
+    np.fill_diagonal(dist, np.inf)
+    active = list(range(n_genes))
+    sizes = {g: 1 for g in range(n_genes)}
+
+    while len(active) > 1:
+        act = np.asarray(active)
+        sub = dist[np.ix_(act, act)]
+        flat = int(np.argmin(sub))
+        ai, aj = divmod(flat, len(act))
+        # active ids are kept ascending, so the first row-major minimum is the
+        # lexicographically smallest (min id, max id) pair among the ties
+        id_i, id_j = int(act[ai]), int(act[aj])
+        if id_i > id_j:
+            id_i, id_j = id_j, id_i
+        new_id = len(clusters)
+        merged = tuple(sorted(clusters[id_i] + clusters[id_j]))
+        clusters.append(merged)
+        children.append((id_i, id_j))
+        merge_distance.append(float(dist[id_i, id_j]))
+        si, sj = sizes[id_i], sizes[id_j]
+        sizes[new_id] = si + sj
+        rest = [o for o in active if o != id_i and o != id_j]
+        if rest:
+            r = np.asarray(rest)
+            updated = (si * dist[id_i, r] + sj * dist[id_j, r]) / (si + sj)
+            dist[new_id, r] = updated
+            dist[r, new_id] = updated
+        active = rest + [new_id]
+
+    return clusters, children, merge_distance

@@ -64,9 +64,15 @@ def test_proximity_matrix_shape():
     rows = [[0, 0, 1], [0, 1, 1], [1, 0, 0], [1, 1, 0]]
     dist = proximity_matrix(rows)
     assert dist.shape == (3, 3)
-    assert np.allclose(dist, dist.T)
+    assert np.array_equal(dist, dist.T)
     assert np.all(np.diag(dist) == 0.0)
     assert dist[0, 2] == pytest.approx(pair_distance([0, 0, 1, 1], [1, 1, 0, 0]))
+    # build_tree's tie rule reads the first row-major minimum, which is the
+    # smallest (min id, max id) pair only if the matrix is exactly symmetric
+    rng = np.random.default_rng(4)
+    for sample in (rng.integers(0, 2, (128, 75)), rng.integers(0, 30, (32, 30))):
+        dist = proximity_matrix(sample)
+        assert np.array_equal(dist, dist.T)
 
 
 def test_proximity_matrix_validation():

@@ -142,3 +142,43 @@ def test_the_path_follows_the_column_cardinalities(monkeypatch):
     ternary[0, 5] = 2
     linkage.proximity_matrix(ternary)
     assert wide_calls == [1]
+
+
+def assert_same_tree(rows):
+    tree = linkage.build_tree(1, rows)
+    assert (tree.clusters, tree.children, tree.merge_distance) == linkage_reference.build_tree(rows)
+
+
+@st.composite
+def tie_heavy_samples(draw):
+    """Few rows over a small alphabet, often with duplicated leading columns.
+
+    With 1-11 rows many gene pairs share one distance, and duplicated columns
+    add exact zero-distance ties, so the merge order rests on the tie rule.
+    """
+    alphabet = draw(st.sampled_from([2, 3, 5, 30]))
+    n_rows = draw(st.integers(1, 11))
+    n_genes = draw(st.integers(1, 40))
+    rows = np.array(draw(st.lists(
+        st.lists(st.integers(0, alphabet - 1), min_size=n_genes, max_size=n_genes),
+        min_size=n_rows, max_size=n_rows)))
+    if draw(st.booleans()):
+        copies = draw(st.integers(1, n_genes))
+        rows[:, :copies] = rows[:, :1]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_samples())
+@example(np.array([[0]]))
+@example(np.zeros((3, 6), dtype=int))
+def test_tie_heavy_samples_merge_like_the_submatrix_loop(rows):
+    assert_same_tree(rows)
+
+
+@pytest.mark.parametrize("shape, alphabet", [
+    ((128, 75), 2), ((256, 75), 2), ((16, 30), 30), ((32, 30), 30), ((32, 100), 100),
+], ids=["128x75-binary", "256x75-binary", "16x30-wide", "32x30-wide", "32x100-wide"])
+def test_population_sized_samples_merge_like_the_submatrix_loop(shape, alphabet):
+    rows = np.random.default_rng(shape[0] * shape[1]).integers(0, alphabet, shape)
+    assert_same_tree(rows)

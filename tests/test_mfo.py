@@ -46,6 +46,9 @@ def test_task_definition_validation():
         sum_task(1, dimension=0)
     with pytest.raises(ConfigurationError):
         TaskDefinition(1, 4, 1, lambda g: 0.0)
+    for objective in (None, 3.0):
+        with pytest.raises(ConfigurationError, match="task 1: objective must be callable"):
+            TaskDefinition(1, 4, 2, objective)
     # integer fields must be ints, and a bool is not one
     for fields in ((1, 3.5, 2), (1, True, 2), (1, 4, 2.0), (1.0, 4, 2), (True, 4, 2)):
         with pytest.raises(ConfigurationError, match="must be an int"):
