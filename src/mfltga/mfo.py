@@ -1,7 +1,11 @@
 """Multifactorial population bookkeeping on a unified search space.
 
 Every individual lives in one genotype space shared by all tasks (length =
-largest task dimension, genes drawn from the largest task alphabet).  An
+largest task dimension, genes drawn from the largest task alphabet).  A
+genotype is a ``bytearray`` when that alphabet has at most 256 letters and a
+``list`` otherwise; ``random_genotype`` alone decides, and every other layer
+only indexes, assigns, slices, copies and takes lengths.  Objectives receive
+the live genotype (or a slice of it) and must neither keep nor modify it.  An
 individual keeps its genotype, its per-task factorial costs, its skill factor
 (the task it is best at) and its restart counter.  Factorial ranks and scalar
 fitness compare members of one pool, so they are computed over that pool at
@@ -11,8 +15,9 @@ of skill factors; ``task_cost`` charges an individual for a cost it lacks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, MutableSequence, Optional, Sequence
 
 from .errors import ConfigurationError, InvalidStateError
 
@@ -34,10 +39,12 @@ class TaskDefinition:
     task_id : 1-based identifier; populations expect ids 1..K in order.
     dimension : number of leading genes the objective consumes.
     alphabet_size : size of the categorical gene domain for this task.
-    objective : pure function of the first `dimension` genes, lower is better.
-        It must neither modify nor keep the sequence it is given: when the
-        genotype is exactly `dimension` genes long the objective receives the
-        live genotype, which tree crossover then swaps in place.
+    objective : pure function of the first `dimension` genes, lower is better,
+        returning an int, a float or a numpy real scalar.  It receives a
+        bytearray when the shared alphabet has at most 256 letters, else a
+        list, and must neither modify nor keep it: when the genotype is
+        exactly `dimension` genes long the objective receives the live
+        genotype, which tree crossover then swaps in place.
     known_optimum : optimal cost if known (enables success accounting); None or
         a finite int or float.
     """
@@ -70,16 +77,34 @@ class TaskDefinition:
 class Individual:
     """A genotype plus the state that carries over between generations.
 
-    factorial_costs[j] is None until the individual has been evaluated on task
-    j+1.  skill_factor is a 1-based task id, set at each ranking.  punish
-    carries the no-improvement counter across generations.  Factorial ranks
-    and scalar fitness are computed over the pool at each ranking.
+    genotype is a bytearray when the shared alphabet has at most 256 letters,
+    else a list (see ``random_genotype``).  factorial_costs[j] is None until
+    the individual has been evaluated on task j+1.  skill_factor is a 1-based
+    task id, set at each ranking.  punish carries the no-improvement counter
+    across generations.  Factorial ranks and scalar fitness are computed over
+    the pool at each ranking.
     """
 
-    genotype: list
+    genotype: MutableSequence[int]
     factorial_costs: list
     skill_factor: Optional[int] = None
     punish: int = 0
+
+
+_COST_TYPES = (int, float)
+
+
+def _real_cost(cost, task_id: int) -> float:
+    """An objective's cost other than an int or float, as a float.
+
+    A real number (a numpy integer or floating scalar, say) is accepted; a
+    bool, a string, None or a container is a broken objective.
+    """
+    if isinstance(cost, bool) or not isinstance(cost, numbers.Real):
+        raise ConfigurationError(
+            f"task {task_id}: objective returned {cost!r}, not a real number"
+        )
+    return float(cost)
 
 
 class EvalLedger:
@@ -89,9 +114,10 @@ class EvalLedger:
     a per-task tick so each task's own evaluation effort is comparable across
     single-task and multitask runs.  Also records the best cost seen per task
     and the task's call count at the first evaluation that reached its known
-    optimum.  A non-finite cost is a broken objective and raises
+    optimum.  A cost that is not a finite real number (an int, a float or a
+    numpy real scalar; not a bool) is a broken objective and raises
     ConfigurationError.  The ledger only counts: callers store the returned
-    cost themselves.
+    cost, as a float, themselves.
     """
 
     def __init__(self, tasks: Sequence[TaskDefinition]):
@@ -106,16 +132,22 @@ class EvalLedger:
         task = self.tasks[idx]
         if len(genotype) != task.dimension:
             genotype = genotype[: task.dimension]
-        cost = float(task.objective(genotype))
+        cost = task.objective(genotype)
+        try:
+            cost = float(cost) if type(cost) in _COST_TYPES else _real_cost(cost, task_id)
+        except OverflowError:  # an int past the float range
+            cost = math.inf if cost > 0 else -math.inf
         if not math.isfinite(cost):
             raise ConfigurationError(f"task {task_id}: objective returned non-finite cost {cost}")
         self.count += 1
         self.task_counts[idx] += 1
+        # best falls only on a strict improvement, so an earlier cost within
+        # 1e-9 of the optimum has already set first_success
         if cost < self.best[idx]:
             self.best[idx] = cost
-        opt = task.known_optimum
-        if opt is not None and self.first_success[idx] is None and cost <= opt + 1e-9:
-            self.first_success[idx] = self.task_counts[idx]
+            opt = task.known_optimum
+            if opt is not None and self.first_success[idx] is None and cost <= opt + 1e-9:
+                self.first_success[idx] = self.task_counts[idx]
         return cost
 
     def all_known_solved(self) -> bool:
@@ -143,9 +175,16 @@ def unified_alphabet(tasks: Sequence[TaskDefinition]) -> int:
     return max(t.alphabet_size for t in tasks)
 
 
-def random_genotype(tasks: Sequence[TaskDefinition], rng) -> list:
+def random_genotype(tasks: Sequence[TaskDefinition], rng):
+    """Uniform-random genotype of the shared space.
+
+    A `bytearray` when the shared alphabet has at most 256 letters (every
+    trap run, every CluSPT instance of up to 256 vertices), else a `list`.
+    Both draw the same genes from rng.
+    """
     alpha = unified_alphabet(tasks)
-    return [rng.randrange(alpha) for _ in range(max(t.dimension for t in tasks))]
+    genes = (rng.randrange(alpha) for _ in range(max(t.dimension for t in tasks)))
+    return bytearray(genes) if alpha <= 256 else list(genes)
 
 
 def task_cost(ind: Individual, task_id: int, ledger: EvalLedger) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import lru_cache, partial
 
 from ..errors import ConfigurationError
 from ..mfo import TaskDefinition, require_int
@@ -34,51 +33,66 @@ class TrapSpec:
         return self.block_size * self.num_blocks
 
 
-@lru_cache(maxsize=None)
-def _blocks(k: int, m: int):
-    """Split an m*k byte string into its m blocks of k bytes, in C."""
-    return struct.Struct(f"{k}s" * m).unpack
+def _as_bytes(bits):
+    """The genes of a list, tuple or array as one bytearray, or None if they do not fit."""
+    if hasattr(bits, "tolist"):
+        bits = bits.tolist()  # an array's own buffer holds items wider than a byte
+    try:
+        return bytearray(bits)
+    except (TypeError, ValueError):
+        return None
 
 
-def _first_non_bit(genes):
-    """(position, gene) of the first gene that is not a byte 0 or 1."""
-    for pos, gene in enumerate(genes):
+def _non_bit(bits) -> ConfigurationError:
+    """The error naming the first gene of bits that is not a byte 0 or 1."""
+    if hasattr(bits, "tolist"):
+        bits = bits.tolist()
+    for pos, gene in enumerate(bits):
         try:
             if bytearray((gene,)) in (b"\x00", b"\x01"):
                 continue
         except (TypeError, ValueError):
             pass
-        return pos, gene
+        return ConfigurationError(f"gene {gene!r} at position {pos} is not a bit")
 
 
-def evaluate(spec: TrapSpec, bits) -> int:
-    """Minimization cost of a genotype, 0 at the optimum (all ones).
+def objective(spec: TrapSpec):
+    """The function giving the minimization cost of a genotype of `spec`, 0 at all ones.
 
     A block with u ones costs k - score: 0 when u = k, else u + 1.  Summed
     over the m blocks that is (total ones) + m - (k + 1) * (all-ones blocks).
 
-    `bits` holds the ints 0 and 1 (bools count as ints): a list or tuple, or
-    an array read through its `tolist()` (a numpy integer or bool array, an
-    `array.array`).  Any other gene, a float such as 1.0 included, raises
-    ConfigurationError naming the first one.  The genes are read once into a
-    byte string; the bit check, the ones count and the all-ones block count
-    are then C-level passes over it.
+    The returned function reads a `bytearray` (the engine's genotype) in
+    place.  Any other `bits` holds the ints 0 and 1 (bools count as ints): a
+    list or tuple, or an array read through its `tolist()` (a numpy integer
+    or bool array, an `array.array`); its genes are first copied into a
+    bytearray.  A gene other than a byte 0 or 1, a float such as 1.0
+    included, raises ConfigurationError naming the first one.  The bit check,
+    the ones count and the all-ones block count are C-level passes over the
+    bytes.  The function binds k, m and the block splitter once; a task
+    keeps it as its objective.
     """
     k, m = spec.block_size, spec.num_blocks
-    if len(bits) != k * m:
-        raise ConfigurationError(
-            f"genotype length {len(bits)} does not match instance length {spec.length}"
-        )
-    if hasattr(bits, "tolist"):
-        bits = bits.tolist()  # an array's own buffer holds items wider than a byte
-    try:
-        genes = bytearray(bits)
-    except (TypeError, ValueError):
-        genes = None
-    if genes is None or genes.translate(None, b"\x00\x01"):
-        pos, gene = _first_non_bit(bits)
-        raise ConfigurationError(f"gene {gene!r} at position {pos} is not a bit")
-    return genes.count(1) + m - (k + 1) * _blocks(k, m)(genes).count(b"\x01" * k)
+    length = k * m
+    blocks = struct.Struct(f"{k}s" * m).unpack
+    all_ones = b"\x01" * k
+
+    def cost(bits) -> int:
+        if len(bits) != length:
+            raise ConfigurationError(
+                f"genotype length {len(bits)} does not match instance length {length}"
+            )
+        genes = bits if type(bits) is bytearray else _as_bytes(bits)
+        if genes is None or genes.translate(None, b"\x00\x01"):
+            raise _non_bit(bits)
+        return genes.count(1) + m - (k + 1) * blocks(genes).count(all_ones)
+
+    return cost
+
+
+def evaluate(spec: TrapSpec, bits) -> int:
+    """Minimization cost of `bits` on `spec`, through ``objective(spec)``."""
+    return objective(spec)(bits)
 
 
 def make_task(spec: TrapSpec, task_id: int = 1) -> TaskDefinition:
@@ -86,7 +100,7 @@ def make_task(spec: TrapSpec, task_id: int = 1) -> TaskDefinition:
         task_id=task_id,
         dimension=spec.length,
         alphabet_size=2,
-        objective=partial(evaluate, spec),
+        objective=objective(spec),
         known_optimum=0.0,
     )
 

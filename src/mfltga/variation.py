@@ -57,19 +57,22 @@ def tree_crossover(
     tid = task.task_id
     idx = tid - 1
     off_i, off_j = (
-        Individual(list(p.genotype), list(p.factorial_costs), punish=p.punish)
+        Individual(p.genotype.copy(), p.factorial_costs.copy(), punish=p.punish)
         for p in (parent_i, parent_j)
     )
     cost_i, cost_j = task_cost(off_i, tid, ledger), task_cost(off_j, tid, ledger)
+    best = min(cost_i, cost_j)
     gi, gj = off_i.genotype, off_j.genotype
+    evaluate = ledger.evaluate
     improved = False
     for mask in masks:
         for g in mask:
             gi[g], gj[g] = gj[g], gi[g]
-        new_i = ledger.evaluate(gi, tid)
-        new_j = ledger.evaluate(gj, tid)
-        if min(new_i, new_j) < min(cost_i, cost_j):
+        new_i = evaluate(gi, tid)
+        new_j = evaluate(gj, tid)
+        if new_i < best or new_j < best:
             cost_i, cost_j = new_i, new_j
+            best = min(new_i, new_j)
             improved = True
         else:
             for g in mask:

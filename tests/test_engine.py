@@ -139,3 +139,17 @@ def test_bad_run_parameters_fail_before_any_evaluation(bad, message):
     with pytest.raises(ConfigurationError, match=message):
         run_mfltga([task], **kwargs)
     assert calls == []
+
+
+def test_a_300_letter_task_runs_on_list_genotypes():
+    # alphabets above 256 fall back from bytearray to list genotypes
+    seen = set()
+
+    def objective(genes):
+        seen.add(type(genes))
+        return float(sum(genes))
+
+    task = TaskDefinition(1, 6, 300, objective)
+    record = run_mfltga([task], pop_size=8, max_evals=400, seed=3)
+    assert record.generations >= 1 and record.total_evals >= 400
+    assert seen == {list}

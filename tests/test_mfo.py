@@ -2,6 +2,7 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 
 from mfltga.errors import ConfigurationError, InvalidStateError
@@ -12,6 +13,7 @@ from mfltga.mfo import (
     TaskDefinition,
     factorial_ranks,
     initialize_population,
+    random_genotype,
     rank_members,
     select_fittest,
     task_cost,
@@ -151,17 +153,54 @@ def test_all_known_solved_is_false_without_declared_optima():
     assert not ledger.all_known_solved()
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "bad",
+    [math.nan, math.inf, -math.inf, 10**400, -(10**400)],
+    ids=["nan", "inf", "-inf", "1e400", "-1e400"],
+)
 def test_ledger_rejects_non_finite_costs(bad):
     broken = TaskDefinition(task_id=2, dimension=4, alphabet_size=3, objective=lambda genes: bad)
     ledger = EvalLedger([sum_task(1), broken])
     ind = fresh([0, 1, 2, 0])
     ind.factorial_costs[0] = ledger.evaluate(ind.genotype, 1)
-    message = f"task 2: objective returned non-finite cost {bad}"
+    # an int past the float range counts as an infinite cost
+    shown = bad if isinstance(bad, float) else math.inf if bad > 0 else -math.inf
+    message = f"task 2: objective returned non-finite cost {shown}"
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         ind.factorial_costs[1] = ledger.evaluate(ind.genotype, 2)
     assert ledger.count == 1
     assert ind.factorial_costs == [3.0, None]
+
+
+@pytest.mark.parametrize("bad", ["abc", "3", None, [1.0], True, np.bool_(True), 1j])
+def test_ledger_rejects_costs_that_are_not_real_numbers(bad):
+    broken = TaskDefinition(task_id=2, dimension=4, alphabet_size=3, objective=lambda genes: bad)
+    ledger = EvalLedger([sum_task(1), broken])
+    ledger.evaluate([0, 1, 2, 0], 1)
+    message = f"task 2: objective returned {bad!r}, not a real number"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        ledger.evaluate([0, 1, 2, 0], 2)
+    assert ledger.count == 1 and ledger.task_counts == [1, 0]
+
+
+@pytest.mark.parametrize("good", [3, 3.0, np.int64(3), np.uint8(3), np.float32(3), np.float64(3)])
+def test_ledger_stores_real_costs_as_floats(good):
+    ledger = EvalLedger([TaskDefinition(1, 4, 3, lambda genes: good, known_optimum=3)])
+    cost = ledger.evaluate([0, 1, 2, 0], 1)
+    assert type(cost) is float and cost == 3.0
+    assert ledger.best == [3.0] and ledger.first_success == [1]
+
+
+def test_random_genotype_is_bytes_up_to_256_letters():
+    for alphabet, kind in ((2, bytearray), (256, bytearray), (257, list), (300, list)):
+        tasks = [TaskDefinition(1, 50, alphabet, lambda genes: 0.0)]
+        genes = random_genotype(tasks, random.Random(alphabet))
+        assert type(genes) is kind and len(genes) == 50
+        # either type draws the same genes from the same rng
+        rng = random.Random(alphabet)
+        assert list(genes) == [rng.randrange(alphabet) for _ in range(50)]
+    tasks = [TaskDefinition(1, 4000, 256, lambda genes: 0.0)]
+    assert max(random_genotype(tasks, random.Random(0))) == 255
 
 
 def test_initialize_population_shape_and_eval_count():

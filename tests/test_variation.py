@@ -143,8 +143,9 @@ def test_tree_crossover_restarts_past_threshold():
         pop.members[0], pop.members[1], masks, tasks[0], 10, rng, pop.ledger
     )
     assert off_i.punish == 0 and off_j.punish == 0
-    assert off_i.genotype == [1, 1, 1, 1]
-    assert off_j.genotype == [0, 0, 0, 0]
+    # fresh binary genotypes are bytearrays
+    assert list(off_i.genotype) == [1, 1, 1, 1]
+    assert list(off_j.genotype) == [0, 0, 0, 0]
     # the two replacement individuals are evaluated as well
     assert pop.ledger.count - before == 2 * len(masks) + 2
 
