@@ -1,7 +1,7 @@
 """Generational loop of the multitask linkage-tree genetic algorithm.
 
 One run: initialize a shared population evaluated on every task, then per
-generation rebuild the per-task linkage trees, run assortative mating, and
+generation rebuild the per-task crossover masks, run assortative mating, and
 keep the fittest n individuals out of the union of the current population and
 the intermediate pool (offspring plus backups).  The loop stops at the
 evaluation budget, or as soon as every task with a known optimum has been
@@ -108,10 +108,8 @@ def run_mfltga(
     trace = [TracePoint(0, ledger.count, tuple(ledger.best))]
     generation = 0
     while ledger.count < max_evals and not ledger.all_known_solved():
-        trees = build_all_trees(pop, tasks)
-        outcome = assortative_mating(
-            pop, trees, rng, max_p=max_p, mutation_rate=mutation_rate
-        )
+        masks = build_all_trees(pop, tasks)
+        outcome = assortative_mating(pop, masks, rng, max_p=max_p, mutation_rate=mutation_rate)
         intermediate = Population(outcome.offspring_pop + outcome.backup_pop, ledger)
         pop = select_fittest(pop, intermediate, pop_size)
         generation += 1

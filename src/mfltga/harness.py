@@ -118,11 +118,12 @@ def _parse_descriptor(text: str):
                 raise ConfigurationError(f"repeated dtf parameter {key!r} in {text!r}")
             params[key] = value.strip()
         try:
-            spec = trap.TrapSpec(int(params.pop("k")), int(params.pop("m")))
+            k, m = int(params.pop("k")), int(params.pop("m"))
         except KeyError as missing:
             raise ConfigurationError(f"dtf descriptor needs k and m, missing {missing}")
         except ValueError:
             raise ConfigurationError(f"dtf parameters must be integers in {text!r}")
+        spec = trap.TrapSpec(k, m)
         if params:
             raise ConfigurationError(f"unknown dtf parameters {sorted(params)}")
         return "dtf", spec, None

@@ -12,7 +12,6 @@ running distances maintained with the Lance-Williams update.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +22,7 @@ from .mfo import Population, TaskDefinition
 
 @dataclass
 class LinkageTree:
-    """Merge history of gene clusters for one task.
+    """Merge history of gene clusters over one sample of gene rows.
 
     clusters are recorded in creation order: the first L entries are the
     singleton leaves {0}..{L-1}, each later entry is the union produced by one
@@ -32,7 +31,6 @@ class LinkageTree:
     the linkage distance of that merge.
     """
 
-    task_id: int
     clusters: list
     children: list
     merge_distance: list
@@ -166,8 +164,8 @@ def proximity_matrix(rows) -> np.ndarray:
     return dist
 
 
-def build_tree(task_id: int, rows) -> LinkageTree:
-    """Agglomerate gene clusters for one task into a linkage tree.
+def build_tree(rows) -> LinkageTree:
+    """Agglomerate the gene clusters of a sample into a linkage tree.
 
     rows are the task-space gene vectors of the individuals the tree is fitted
     on.
@@ -209,15 +207,16 @@ def build_tree(task_id: int, rows) -> LinkageTree:
         dist[id_i] = dist[id_j] = np.inf
         dist[:, id_i] = dist[:, id_j] = np.inf
 
-    return LinkageTree(task_id, clusters, children, merge_distance)
+    return LinkageTree(clusters, children, merge_distance)
 
 
-def build_all_trees(pop: Population, tasks: Sequence[TaskDefinition]):
-    """One linkage tree per task, fitted on that task's skill group.
+def build_all_trees(pop: Population, tasks: Sequence[TaskDefinition]) -> list:
+    """Each task's crossover masks, task j + 1's at index j.
 
-    Rows are genotypes truncated to the task dimension, read from one integer
-    array of the whole population.  A task whose skill group is empty falls
-    back to the whole population so a tree always exists.
+    A task's masks come from one linkage tree fitted on its skill group.  Rows
+    are genotypes truncated to the task dimension, read from one array of the
+    whole population.  A task whose skill group is empty falls back to the
+    whole population so a tree always exists.
     """
     members = pop.members
     if not members:
@@ -225,13 +224,11 @@ def build_all_trees(pop: Population, tasks: Sequence[TaskDefinition]):
     width = len(members[0].genotype)
     if any(len(ind.genotype) != width for ind in members):
         raise InvalidStateError("genotypes must all have one length")
-    genes = chain.from_iterable(ind.genotype for ind in members)
-    genotypes = np.fromiter(genes, dtype=np.int64, count=len(members) * width)
-    genotypes = genotypes.reshape(len(members), width)
+    genotypes = np.array([ind.genotype for ind in members])
     skills = np.array([ind.skill_factor or 0 for ind in members])
-    trees = []
+    masks = []
     for task in tasks:
         group = skills == task.task_id
         rows = genotypes[group] if group.any() else genotypes
-        trees.append(build_tree(task.task_id, rows[:, : task.dimension]))
-    return trees
+        masks.append(build_tree(rows[:, : task.dimension]).crossover_masks())
+    return masks

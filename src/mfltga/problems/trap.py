@@ -90,11 +90,6 @@ def objective(spec: TrapSpec):
     return cost
 
 
-def evaluate(spec: TrapSpec, bits) -> int:
-    """Minimization cost of `bits` on `spec`, through ``objective(spec)``."""
-    return objective(spec)(bits)
-
-
 def make_task(spec: TrapSpec, task_id: int = 1) -> TaskDefinition:
     return TaskDefinition(
         task_id=task_id,

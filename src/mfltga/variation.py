@@ -1,13 +1,13 @@
-"""Variation: assortative mating, linkage-tree crossover, mutation.
+"""Variation: assortative mating, mask-swap crossover, mutation.
 
 The mating flow pairs the population at random.  Parents sharing a skill
 factor recombine inside that task; mixed pairs flip a fair coin for the task,
 and the parent whose task lost the coin is copied unchanged into the backup
 pool.  Offspring are charged only on the selected task, through
 ``mfo.task_cost``; their skill factors are left to the next ranking.
-Crossover walks the selected task's linkage tree top down, swapping
-each cluster mask in place between the working pair and undoing the swap
-unless a child strictly beats both current parents on the selected task.
+Crossover walks the selected task's crossover masks in order, swapping
+each mask in place between the working pair and undoing the swap unless a
+child strictly beats both current parents on the selected task.
 Pairs that survive a whole traversal unimproved accumulate punishment; past
 the threshold the pair is replaced by fresh random individuals.
 """
@@ -21,7 +21,6 @@ from .mfo import (
     EvalLedger,
     Individual,
     Population,
-    TaskDefinition,
     random_genotype,
     task_cost,
     unified_alphabet,
@@ -40,12 +39,12 @@ def tree_crossover(
     parent_i: Individual,
     parent_j: Individual,
     masks: Sequence[Sequence[int]],
-    task: TaskDefinition,
+    tid: int,
     max_p: int,
     rng,
     ledger: EvalLedger,
 ):
-    """Greedy mask-swap traversal of one task's crossover masks for one pair.
+    """Greedy mask-swap traversal of task tid's crossover masks for one pair.
 
     Each mask's genes are swapped in place between the working copies of the
     parents and both are evaluated on the task; the swap is kept only when one
@@ -54,7 +53,6 @@ def tree_crossover(
     and past max_p the pair restarts from two fresh random individuals.  Both
     offspring carry the resulting counter.
     """
-    tid = task.task_id
     idx = tid - 1
     off_i, off_j = (
         Individual(p.genotype.copy(), p.factorial_costs.copy(), punish=p.punish)
@@ -119,25 +117,27 @@ def mutate(ind: Individual, rate: float, rng, alphabet_size: int) -> Individual:
 
 def assortative_mating(
     pop: Population,
-    trees: Sequence,
+    masks: Sequence[Sequence[Sequence[int]]],
     rng,
     *,
-    max_p: int = 10,
-    mutation_rate: float = 0.0,
+    max_p: int,
+    mutation_rate: float,
 ) -> MatingOutcome:
-    """One generation of pairing, task selection and tree crossover.
+    """One generation of pairing, task selection and mask-swap crossover.
 
-    trees holds one linkage tree per task; each tree's crossover masks are
-    sorted once here and shared by every pair that selects its task.  Returns
-    the best offspring of each pair, holding a cost on the pair's selected
-    task and no skill factor until the next ranking, plus the backup pool of
-    unmodified parents whose skill task lost the coin flip.
+    masks[j] holds task j + 1's crossover masks, shared by every pair that
+    selects that task.  Returns the best offspring of each pair, holding a
+    cost on the pair's selected task and no skill factor until the next
+    ranking, plus the backup pool of unmodified parents whose skill task lost
+    the coin flip.
     """
     members = pop.members
     if len(members) % 2 != 0:
         raise InvalidStateError("population size must be even to form pairs")
-    masks_by_task = {tree.task_id: tree.crossover_masks() for tree in trees}
-    task_by_id = {t.task_id: t for t in pop.tasks}
+    if len(masks) != len(pop.tasks):
+        raise InvalidStateError(
+            f"need one mask list per task, got {len(masks)} for {len(pop.tasks)} tasks"
+        )
     alphabet = unified_alphabet(pop.tasks)
     order = list(range(len(members)))
     rng.shuffle(order)
@@ -150,10 +150,7 @@ def assortative_mating(
         else:
             selected = pa.skill_factor if rng.random() < 0.5 else pb.skill_factor
             backup.append(pb if selected == pa.skill_factor else pa)
-        masks = masks_by_task.get(selected)
-        if masks is None:
-            raise InvalidStateError(f"no linkage tree supplied for task {selected}")
-        off_i, off_j = tree_crossover(pa, pb, masks, task_by_id[selected], max_p, rng, pop.ledger)
+        off_i, off_j = tree_crossover(pa, pb, masks[selected - 1], selected, max_p, rng, pop.ledger)
         mutate(off_i, mutation_rate, rng, alphabet)
         mutate(off_j, mutation_rate, rng, alphabet)
         if task_cost(off_i, selected, pop.ledger) <= task_cost(off_j, selected, pop.ledger):

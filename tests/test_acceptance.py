@@ -187,7 +187,7 @@ def test_a5_trap_oracle_agreement():
         k, m = combos[rng.randrange(len(combos))]
         spec = trap.TrapSpec(k, m)
         bits = [rng.randrange(2) for _ in range(spec.length)]
-        if float(trap.evaluate(spec, bits)) != float(reference_trap_cost(bits, k, m)):
+        if float(trap.objective(spec)(bits)) != float(reference_trap_cost(bits, k, m)):
             mismatches += 1
     ok = not bad and mismatches == 0
     _report(
@@ -262,7 +262,7 @@ def test_a8_structural_invariants():
     rng = random.Random(3)
     for length, alphabet in ((4, 2), (7, 3), (12, 2)):
         rows = [[rng.randrange(alphabet) for _ in range(length)] for _ in range(24)]
-        tree = build_tree(1, rows)
+        tree = build_tree(rows)
         if len(tree.clusters) != 2 * length - 1:
             failures.append("tree size")
         if sorted(tree.clusters[-1]) != list(range(length)):
@@ -288,10 +288,10 @@ def test_a8_structural_invariants():
             for _ in range(2)
         ]
         rows = [[rng.randrange(4) for _ in range(10)] for _ in range(16)]
-        tree = build_tree(1, rows)
+        tree = build_tree(rows)
         before = [sorted((pair[0].genotype[g], pair[1].genotype[g])) for g in range(10)]
         off_i, off_j = tree_crossover(
-            pair[0], pair[1], tree.crossover_masks(), task, 10**9, rng, ledger
+            pair[0], pair[1], tree.crossover_masks(), task.task_id, 10**9, rng, ledger
         )
         after = [sorted((off_i.genotype[g], off_j.genotype[g])) for g in range(10)]
         if before != after:

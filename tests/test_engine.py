@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from mfltga import engine
 from mfltga.engine import run_mfltga
 from mfltga.errors import ConfigurationError
 from mfltga.mfo import TaskDefinition
@@ -153,3 +154,19 @@ def test_a_300_letter_task_runs_on_list_genotypes():
     record = run_mfltga([task], pop_size=8, max_evals=400, seed=3)
     assert record.generations >= 1 and record.total_evals >= 400
     assert seen == {list}
+
+
+def test_known_trap_blocks_at_the_mask_seam_beat_the_learned_tree(monkeypatch):
+    # the run reads every task's crossover masks from engine.build_all_trees;
+    # handing it the trap's true blocks (a marginal-product model) must solve
+    # every run, and with fewer evaluations than the learned tree on every seed
+    k, m = 4, 8
+    blocks = [tuple(range(b * k, (b + 1) * k)) for b in range(m)]
+    kwargs = dict(pop_size=128, max_evals=300_000)
+    for seed in range(10):
+        learned = run_mfltga(trap_tasks(k, m, copies=2), seed=seed, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "build_all_trees", lambda pop, tasks: [blocks for _ in tasks])
+            known = run_mfltga(trap_tasks(k, m, copies=2), seed=seed, **kwargs)
+        assert learned.optimum_found == known.optimum_found == (True, True)
+        assert known.total_evals < learned.total_evals

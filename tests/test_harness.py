@@ -121,6 +121,10 @@ def test_parse_problem_descriptor():
     for repeated, key in (("dtf:k=3,m=5,k=4", "k"), ("dtf:m=5, k=3,m=5", "m")):
         with pytest.raises(ConfigurationError, match=f"repeated dtf parameter '{key}'"):
             parse_problem_descriptor(repeated)
+    # integers outside TrapSpec's range keep TrapSpec's own message
+    for out_of_range, field in (("dtf:k=0,m=5", "block_size"), ("dtf:k=3,m=0", "num_blocks")):
+        with pytest.raises(ConfigurationError, match=f"{field} must be >= 1"):
+            parse_problem_descriptor(out_of_range)
 
 
 def test_cluspt_descriptor_optimum_reaches_the_task():

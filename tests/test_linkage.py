@@ -108,25 +108,24 @@ def test_build_tree_structure_on_random_populations():
     rng = random.Random(13)
     for n_genes in (1, 2, 5, 9):
         rows = [[rng.randrange(2) for _ in range(n_genes)] for _ in range(16)]
-        tree = build_tree(1, rows)
-        assert tree.task_id == 1
+        tree = build_tree(rows)
         tree_is_well_formed(tree, n_genes)
 
 
 def test_build_tree_rejects_empty_population():
     with pytest.raises(InvalidStateError):
-        build_tree(1, [])
+        build_tree([])
     with pytest.raises(InvalidStateError):
-        build_tree(1, np.empty((0, 5), dtype=int))
+        build_tree(np.empty((0, 5), dtype=int))
     with pytest.raises(InvalidStateError):
-        build_tree(1, np.zeros((3, 0)))
+        build_tree(np.zeros((3, 0)))
 
 
 def test_build_tree_accepts_a_numpy_array():
     rng = random.Random(17)
     rows = [[rng.randrange(3) for _ in range(7)] for _ in range(20)]
-    from_list = build_tree(2, rows)
-    from_array = build_tree(2, np.array(rows))
+    from_list = build_tree(rows)
+    from_array = build_tree(np.array(rows))
     assert from_array == from_list
     tree_is_well_formed(from_array, 7)
 
@@ -136,7 +135,7 @@ def test_merge_distances_never_invert():
     rng = random.Random(29)
     for _ in range(10):
         rows = [[rng.randrange(2) for _ in range(8)] for _ in range(12)]
-        tree = build_tree(1, rows)
+        tree = build_tree(rows)
         merges = [d for d in tree.merge_distance if d is not None]
         for a, b in zip(merges, merges[1:]):
             assert b >= a - 1e-12
@@ -146,7 +145,7 @@ def test_tie_break_prefers_lowest_cluster_ids():
     # all columns identical: every pair sits at distance 0, so merges must
     # walk the ids in order: (0,1), (2,3), then the two pairs
     rows = [[0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 0, 0]]
-    tree = build_tree(1, rows)
+    tree = build_tree(rows)
     assert tree.children[4] == (0, 1)
     assert tree.clusters[4] == (0, 1)
     assert tree.children[5] == (2, 3)
@@ -157,7 +156,7 @@ def test_average_linkage_update_is_the_mean():
     # columns 0 and 1 are copies, column 2 is independent of both, so after
     # merging {0, 1} the distance to 2 is the plain average of two equal 1s
     rows = [[0, 0, 0], [0, 0, 1], [1, 1, 0], [1, 1, 1]]
-    tree = build_tree(1, rows)
+    tree = build_tree(rows)
     assert tree.children[3] == (0, 1)
     assert tree.merge_distance[3] == pytest.approx(0.0)
     assert tree.merge_distance[4] == pytest.approx(1.0)
@@ -165,7 +164,7 @@ def test_average_linkage_update_is_the_mean():
 
 def test_crossover_masks_exclude_root_and_sort_by_size_then_recency():
     rows = [[0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 0, 0]]
-    tree = build_tree(1, rows)
+    tree = build_tree(rows)
     masks = tree.crossover_masks()
     assert masks == [(2, 3), (0, 1), (3,), (2,), (1,), (0,)]
     assert tuple(range(4)) not in masks
@@ -173,7 +172,7 @@ def test_crossover_masks_exclude_root_and_sort_by_size_then_recency():
 
 
 def test_single_gene_tree_has_no_masks():
-    tree = build_tree(1, [[0], [1]])
+    tree = build_tree([[0], [1]])
     assert tree.clusters == [(0,)]
     assert tree.crossover_masks() == []
 
@@ -181,10 +180,19 @@ def test_single_gene_tree_has_no_masks():
 def test_build_all_trees_uses_skill_groups_and_truncates():
     tasks = [sum_task(1, 6), sum_task(2, 3)]
     pop = initialize_population(tasks, 12, random.Random(4))
-    trees = build_all_trees(pop, tasks)
-    assert [t.task_id for t in trees] == [1, 2]
-    assert trees[0].clusters[-1] == tuple(range(6))
-    assert trees[1].clusters[-1] == tuple(range(3))
+    masks = build_all_trees(pop, tasks)
+    assert len(masks) == 2
+    # entry j holds task j + 1's masks, from a tree fitted on its skill group
+    for task, task_masks in zip(tasks, masks):
+        rows = [
+            list(ind.genotype[: task.dimension])
+            for ind in pop.members
+            if ind.skill_factor == task.task_id
+        ]
+        assert rows
+        assert task_masks == build_tree(rows).crossover_masks()
+        assert len(task_masks) == 2 * task.dimension - 2
+        assert set().union(*task_masks) == set(range(task.dimension))
 
 
 def test_build_all_trees_falls_back_to_whole_population():
@@ -192,10 +200,12 @@ def test_build_all_trees_falls_back_to_whole_population():
     pop = initialize_population(tasks, 8, random.Random(5))
     for ind in pop.members:
         ind.skill_factor = 1
-    trees = build_all_trees(pop, tasks)
+    masks = build_all_trees(pop, tasks)
     # task 2 has no skill group left, yet it still gets a full-size tree
-    assert trees[1].clusters[-1] == tuple(range(4))
-    tree_is_well_formed(trees[1], 4)
+    whole = build_tree([list(ind.genotype) for ind in pop.members])
+    tree_is_well_formed(whole, 4)
+    assert masks[1] == whole.crossover_masks()
+    assert len(masks[1]) == 2 * 4 - 2
 
 
 def test_build_all_trees_rejects_ragged_or_empty_populations():
@@ -220,7 +230,7 @@ def test_build_tree_matches_scipy_average_linkage():
         rows = [[rng.randrange(4) for _ in range(n_genes)] for _ in range(40)]
         condensed = squareform(proximity_matrix(rows), checks=False)
         assert len(set(condensed.tolist())) == len(condensed), "inputs must be tie-free"
-        tree = build_tree(1, rows)
+        tree = build_tree(rows)
         merges = hierarchy.linkage(condensed, method="average")
         for i, (a, b, height, size) in enumerate(merges):
             node = n_genes + i

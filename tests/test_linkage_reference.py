@@ -145,7 +145,7 @@ def test_the_path_follows_the_column_cardinalities(monkeypatch):
 
 
 def assert_same_tree(rows):
-    tree = linkage.build_tree(1, rows)
+    tree = linkage.build_tree(rows)
     assert (tree.clusters, tree.children, tree.merge_distance) == linkage_reference.build_tree(rows)
 
 

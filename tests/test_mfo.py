@@ -121,8 +121,10 @@ def test_each_objective_receives_exactly_its_task_prefix(monkeypatch):
     pop = initialize_population(tasks, 8, random.Random(6))
     for task in tasks:
         rows = [ind.genotype[: task.dimension] for ind in pop.members]
-        masks = build_tree(task.task_id, rows).crossover_masks()
-        tree_crossover(pop.members[0], pop.members[1], masks, task, 10, random.Random(7), pop.ledger)
+        masks = build_tree(rows).crossover_masks()
+        tree_crossover(
+            pop.members[0], pop.members[1], masks, task.task_id, 10, random.Random(7), pop.ledger
+        )
     assert pop.ledger.count == len(received) == len(offered) > 16
     dimension = {t.task_id: t.dimension for t in tasks}
     for (tid, genes), (offered_tid, genotype) in zip(received, offered):

@@ -9,7 +9,7 @@ from mfltga.problems import trap
 
 
 def one_block(bits):
-    return trap.evaluate(trap.TrapSpec(len(bits), 1), bits)
+    return trap.objective(trap.TrapSpec(len(bits), 1))(bits)
 
 
 def test_block_score_cases():
@@ -27,7 +27,7 @@ def test_block_rejects_non_bits():
         bits = [1] * 9
         bits[7] = bad
         with pytest.raises(ConfigurationError, match=f"gene {bad} at position 7"):
-            trap.evaluate(trap.TrapSpec(3, 3), bits)
+            trap.objective(trap.TrapSpec(3, 3))(bits)
 
 
 NON_BITS = [None, 2, -1, 256, "1", [1], 0.5, 1.0, 0.0]
@@ -40,17 +40,17 @@ def test_evaluate_rejects_every_non_bit_gene(gene, pos):
     bits[pos] = gene
     message = rf"^gene {re.escape(repr(gene))} at position {pos} is not a bit$"
     with pytest.raises(ConfigurationError, match=message):
-        trap.evaluate(trap.TrapSpec(5, 3), bits)
+        trap.objective(trap.TrapSpec(5, 3))(bits)
 
 
 def test_evaluate_rejects_float_arrays_and_names_the_first_bad_gene():
     bits = np.ones(15)
     with pytest.raises(ConfigurationError, match="gene 1.0 at position 0 is not a bit"):
-        trap.evaluate(trap.TrapSpec(5, 3), bits)
+        trap.objective(trap.TrapSpec(5, 3))(bits)
     bits = np.ones(15, dtype=np.int64)
     bits[[4, 9]] = 3
     with pytest.raises(ConfigurationError, match="gene 3 at position 4 is not a bit"):
-        trap.evaluate(trap.TrapSpec(5, 3), bits)
+        trap.objective(trap.TrapSpec(5, 3))(bits)
 
 
 def test_block_deception_all_zeros_is_second_best():
@@ -67,19 +67,19 @@ def test_block_deception_all_zeros_is_second_best():
 
 
 def test_evaluate_hand_cases():
-    assert trap.evaluate(trap.TrapSpec(3, 5), [1] * 15) == 0
+    assert trap.objective(trap.TrapSpec(3, 5))([1] * 15) == 0
     # value 2 + 3 + 2 = 7
-    assert trap.evaluate(trap.TrapSpec(3, 3), [0, 0, 0, 1, 1, 1, 0, 0, 0]) == 2
+    assert trap.objective(trap.TrapSpec(3, 3))([0, 0, 0, 1, 1, 1, 0, 0, 0]) == 2
     # value 0
-    assert trap.evaluate(trap.TrapSpec(4, 1), [0, 1, 1, 1]) == 4
-    assert trap.evaluate(trap.TrapSpec(2, 3), [0, 1, 1, 1, 0, 0]) == 3
-    assert isinstance(trap.evaluate(trap.TrapSpec(2, 3), [0, 1, 1, 1, 0, 0]), int)
+    assert trap.objective(trap.TrapSpec(4, 1))([0, 1, 1, 1]) == 4
+    assert trap.objective(trap.TrapSpec(2, 3))([0, 1, 1, 1, 0, 0]) == 3
+    assert isinstance(trap.objective(trap.TrapSpec(2, 3))([0, 1, 1, 1, 0, 0]), int)
 
 
 def test_evaluate_rejects_wrong_length():
     message = "genotype length 14 does not match instance length 15"
     with pytest.raises(ConfigurationError, match=message):
-        trap.evaluate(trap.TrapSpec(3, 5), [1] * 14)
+        trap.objective(trap.TrapSpec(3, 5))([1] * 14)
 
 
 def test_evaluate_accepts_tuples_and_arrays():
@@ -87,9 +87,9 @@ def test_evaluate_accepts_tuples_and_arrays():
     spec = trap.TrapSpec(5, 4)
     for _ in range(50):
         bits = [rng.randrange(2) for _ in range(spec.length)]
-        cost = trap.evaluate(spec, bits)
-        assert trap.evaluate(spec, tuple(bits)) == cost
-        assert trap.evaluate(spec, np.array(bits)) == cost
+        cost = trap.objective(spec)(bits)
+        assert trap.objective(spec)(tuple(bits)) == cost
+        assert trap.objective(spec)(np.array(bits)) == cost
 
 
 def test_value_is_additive_over_blocks():
@@ -101,7 +101,7 @@ def test_value_is_additive_over_blocks():
             one_block(bits[s : s + spec.block_size])
             for s in range(0, spec.length, spec.block_size)
         )
-        assert trap.evaluate(spec, bits) == per_block
+        assert trap.objective(spec)(bits) == per_block
 
 
 def test_spec_validation():

@@ -3,8 +3,9 @@
 Bit strings are drawn with a random ones-rate, so rates at or near 0 and 1
 make all-zeros and all-ones blocks common.  Every string is evaluated as a
 bytearray (the engine's genotype), a list, a tuple, an int64 array and a bool
-array, through the task's objective and through ``trap.evaluate``.  Strings
-holding one non-bit gene must raise the same error from every container.
+array, through the task's objective and through a fresh ``trap.objective``
+of the same spec.  Strings holding one non-bit gene must raise the same error
+from every container.
 """
 import re
 
@@ -45,7 +46,7 @@ def test_evaluate_matches_the_reference_cost(case):
     objective = trap.make_task(spec).objective
     expected = reference_trap_cost(bits, k, m)
     for x in containers(bits):
-        for cost in (objective(x), trap.evaluate(spec, x)):
+        for cost in (objective(x), trap.objective(spec)(x)):
             assert type(cost) is int
             assert cost == expected
 
@@ -60,6 +61,6 @@ def test_non_bit_genes_raise_the_same_error_from_every_container(case, data):
     objective = trap.make_task(spec).objective
     message = f"gene {bits[pos]} at position {pos} is not a bit"
     for x in containers(bits, with_bool=False):
-        for evaluate in (objective, lambda genes: trap.evaluate(spec, genes)):
+        for evaluate in (objective, trap.objective(spec)):
             with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
                 evaluate(x)

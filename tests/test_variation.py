@@ -60,10 +60,10 @@ def make_pop(tasks, genotypes, skills):
     return Population(members, ledger)
 
 
-def paired_masks(task_id=1):
+def paired_masks():
     """Masks of a tree over 4 genes merging {0,1} and {2,3} first."""
     rows = [[0, 0, 1, 1], [1, 1, 0, 0]]
-    return build_tree(task_id, rows).crossover_masks()
+    return build_tree(rows).crossover_masks()
 
 
 def test_tree_crossover_takes_improving_swaps():
@@ -71,7 +71,7 @@ def test_tree_crossover_takes_improving_swaps():
     pop = make_pop(tasks, [[1, 1, 0, 0], [0, 0, 1, 1]], [1, 1])
     pa, pb = pop.members
     rng = ScriptedRandom()
-    off_i, off_j = tree_crossover(pa, pb, paired_masks(), tasks[0], 10, rng, pop.ledger)
+    off_i, off_j = tree_crossover(pa, pb, paired_masks(), 1, 10, rng, pop.ledger)
     # the first mask swap of {2, 3} already separates the pair into the two
     # uniform genotypes, and no later swap beats cost 0
     assert sorted([off_i.genotype, off_j.genotype]) == [[0, 0, 0, 0], [1, 1, 1, 1]]
@@ -90,9 +90,9 @@ def test_tree_crossover_preserves_position_multisets():
         gb = [rng.randrange(2) for _ in range(6)]
         pop = make_pop(tasks, [ga, gb], [1, 1])
         rows = [[rng.randrange(2) for _ in range(6)] for _ in range(8)]
-        tree = build_tree(1, rows)
+        tree = build_tree(rows)
         off_i, off_j = tree_crossover(
-            pop.members[0], pop.members[1], tree.crossover_masks(), tasks[0], 10 ** 6, rng,
+            pop.members[0], pop.members[1], tree.crossover_masks(), 1, 10 ** 6, rng,
             pop.ledger,
         )
         for g in range(6):
@@ -104,7 +104,7 @@ def test_tree_crossover_charges_two_evals_per_mask():
     pop = make_pop(tasks, [[0, 1, 0, 1], [1, 0, 1, 0]], [1, 1])
     masks = paired_masks()
     before = pop.ledger.count
-    tree_crossover(pop.members[0], pop.members[1], masks, tasks[0], 10, ScriptedRandom(), pop.ledger)
+    tree_crossover(pop.members[0], pop.members[1], masks, 1, 10, ScriptedRandom(), pop.ledger)
     assert pop.ledger.count - before == 2 * len(masks)
 
 
@@ -114,7 +114,7 @@ def test_tree_crossover_evaluates_unevaluated_parents_on_entry():
     pa = Individual([0, 1, 0, 1], [None])
     pb = Individual([1, 0, 1, 0], [None])
     masks = paired_masks()
-    tree_crossover(pa, pb, masks, tasks[0], 10, ScriptedRandom(), ledger)
+    tree_crossover(pa, pb, masks, 1, 10, ScriptedRandom(), ledger)
     assert ledger.count == 2 + 2 * len(masks)
 
 
@@ -124,7 +124,7 @@ def test_tree_crossover_stagnation_increments_punishment():
     pop.members[0].punish = 4
     pop.members[1].punish = 2
     off_i, off_j = tree_crossover(
-        pop.members[0], pop.members[1], paired_masks(), tasks[0], 10, ScriptedRandom(), pop.ledger
+        pop.members[0], pop.members[1], paired_masks(), 1, 10, ScriptedRandom(), pop.ledger
     )
     assert off_i.punish == 5 and off_j.punish == 5
     # no swap was kept, so the working pair still mirrors the parents
@@ -140,7 +140,7 @@ def test_tree_crossover_restarts_past_threshold():
     rng = ScriptedRandom(randranges=[1, 1, 1, 1, 0, 0, 0, 0])
     before = pop.ledger.count
     off_i, off_j = tree_crossover(
-        pop.members[0], pop.members[1], masks, tasks[0], 10, rng, pop.ledger
+        pop.members[0], pop.members[1], masks, 1, 10, rng, pop.ledger
     )
     assert off_i.punish == 0 and off_j.punish == 0
     # fresh binary genotypes are bytearrays
@@ -155,7 +155,7 @@ def test_tree_crossover_leaves_parents_and_sets_offspring_costs():
     tasks = [sum_task(1), sum_task(2)]
     pop = make_pop(tasks, [[1, 1, 0, 0], [0, 0, 1, 1]], [1, 1])
     pa, pb = pop.members
-    off_i, off_j = tree_crossover(pa, pb, paired_masks(), tasks[0], 10, ScriptedRandom(), pop.ledger)
+    off_i, off_j = tree_crossover(pa, pb, paired_masks(), 1, 10, ScriptedRandom(), pop.ledger)
     assert off_i.punish == 0
     assert sorted([off_i.factorial_costs, off_j.factorial_costs]) == [[0.0, None], [4.0, None]]
     assert (pa.genotype, pa.factorial_costs) == ([1, 1, 0, 0], [2.0, 2.0])
@@ -164,7 +164,7 @@ def test_tree_crossover_leaves_parents_and_sets_offspring_costs():
     tasks = [flat_task(1), sum_task(2)]
     pop = make_pop(tasks, [[0, 1, 0, 1], [1, 1, 1, 0]], [1, 1])
     pa, pb = pop.members
-    off_i, off_j = tree_crossover(pa, pb, paired_masks(), tasks[0], 10, ScriptedRandom(), pop.ledger)
+    off_i, off_j = tree_crossover(pa, pb, paired_masks(), 1, 10, ScriptedRandom(), pop.ledger)
     assert off_i.punish == 1
     assert off_i.factorial_costs == [0.0, 2.0]
     assert off_j.factorial_costs == [0.0, 3.0]
@@ -205,8 +205,8 @@ def test_mutate_validates_rate():
 def test_mating_equal_skill_pair_keeps_task_and_backup_stays_empty():
     tasks = [sum_task(1), sum_task(2)]
     pop = make_pop(tasks, [[1, 1, 0, 0], [0, 0, 1, 1]], [2, 2])
-    trees = build_all_trees(pop, tasks)
-    outcome = assortative_mating(pop, trees, ScriptedRandom())
+    masks = build_all_trees(pop, tasks)
+    outcome = assortative_mating(pop, masks, ScriptedRandom(), max_p=10, mutation_rate=0.0)
     assert isinstance(outcome, MatingOutcome)
     assert outcome.backup_pop == []
     assert len(outcome.offspring_pop) == 1
@@ -219,15 +219,19 @@ def test_mating_mixed_pair_flips_a_coin_and_backs_up_the_loser():
     genotypes = [[1, 1, 0, 0], [0, 0, 1, 1]]
     # coin below 0.5: first parent's task wins, second parent is backed up
     pop = make_pop(tasks, genotypes, [1, 2])
-    trees = build_all_trees(pop, tasks)
-    outcome = assortative_mating(pop, trees, ScriptedRandom(randoms=[0.3]))
+    masks = build_all_trees(pop, tasks)
+    outcome = assortative_mating(
+        pop, masks, ScriptedRandom(randoms=[0.3]), max_p=10, mutation_rate=0.0
+    )
     assert outcome.offspring_pop[0].factorial_costs == [0.0, None]
     assert len(outcome.backup_pop) == 1
     assert outcome.backup_pop[0] is pop.members[1]
     # coin at or above 0.5: the second parent's task wins instead
     pop = make_pop(tasks, genotypes, [1, 2])
-    trees = build_all_trees(pop, tasks)
-    outcome = assortative_mating(pop, trees, ScriptedRandom(randoms=[0.7]))
+    masks = build_all_trees(pop, tasks)
+    outcome = assortative_mating(
+        pop, masks, ScriptedRandom(randoms=[0.7]), max_p=10, mutation_rate=0.0
+    )
     assert outcome.offspring_pop[0].factorial_costs == [None, 0.0]
     assert outcome.backup_pop[0] is pop.members[0]
 
@@ -239,8 +243,8 @@ def test_mating_offspring_hold_a_cost_for_their_task():
         [[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]],
         [1, 1, 2, 2],
     )
-    trees = build_all_trees(pop, tasks)
-    outcome = assortative_mating(pop, trees, random.Random(21))
+    masks = build_all_trees(pop, tasks)
+    outcome = assortative_mating(pop, masks, random.Random(21), max_p=10, mutation_rate=0.0)
     assert len(outcome.offspring_pop) == 2
     # replay the pairing; a mixed pair's selected task is the one whose
     # parent stayed out of the backup pool
@@ -262,8 +266,8 @@ def test_mating_best_of_pair_prefers_lower_cost_then_first():
     # constant objective: both offspring tie, the first of the pair survives
     tasks = [flat_task(1)]
     pop = make_pop(tasks, [[0, 1, 0, 1], [1, 0, 1, 0]], [1, 1])
-    trees = build_all_trees(pop, tasks)
-    outcome = assortative_mating(pop, trees, ScriptedRandom())
+    masks = build_all_trees(pop, tasks)
+    outcome = assortative_mating(pop, masks, ScriptedRandom(), max_p=10, mutation_rate=0.0)
     assert len(outcome.offspring_pop) == 1
     assert outcome.offspring_pop[0].genotype == [0, 1, 0, 1]
 
@@ -271,8 +275,8 @@ def test_mating_best_of_pair_prefers_lower_cost_then_first():
 def test_mating_with_mutation_reevaluates_changed_offspring():
     tasks = [sum_task(1)]
     pop = make_pop(tasks, [[1, 1, 0, 0], [0, 0, 1, 1]], [1, 1])
-    trees = build_all_trees(pop, tasks)
-    outcome = assortative_mating(pop, trees, random.Random(8), mutation_rate=1.0)
+    masks = build_all_trees(pop, tasks)
+    outcome = assortative_mating(pop, masks, random.Random(8), max_p=10, mutation_rate=1.0)
     for off in outcome.offspring_pop:
         assert off.factorial_costs[0] is not None
         assert off.factorial_costs[0] == float(sum(off.genotype))
@@ -281,14 +285,14 @@ def test_mating_with_mutation_reevaluates_changed_offspring():
 def test_mating_rejects_odd_populations():
     tasks = [sum_task(1)]
     pop = make_pop(tasks, [[0, 0, 0, 0]], [1])
-    trees = build_all_trees(pop, tasks)
+    masks = build_all_trees(pop, tasks)
     with pytest.raises(InvalidStateError):
-        assortative_mating(pop, trees, ScriptedRandom())
+        assortative_mating(pop, masks, ScriptedRandom(), max_p=10, mutation_rate=0.0)
 
 
 def test_mating_requires_a_tree_for_the_selected_task():
     tasks = [sum_task(1), sum_task(2)]
     pop = make_pop(tasks, [[1, 1, 0, 0], [0, 0, 1, 1]], [2, 2])
-    trees = build_all_trees(pop, [tasks[0]])
-    with pytest.raises(InvalidStateError):
-        assortative_mating(pop, trees, ScriptedRandom())
+    masks = build_all_trees(pop, [tasks[0]])
+    with pytest.raises(InvalidStateError, match="one mask list per task, got 1 for 2 tasks"):
+        assortative_mating(pop, masks, ScriptedRandom(), max_p=10, mutation_rate=0.0)

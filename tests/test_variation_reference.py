@@ -62,7 +62,7 @@ def test_tree_crossover_matches_the_reference(num_tasks, max_p):
             [rng.randrange(unified_alphabet(tasks)) for _ in range(task.dimension)]
             for _ in range(rng.randrange(2, 20))
         ]
-        tree = build_tree(tid, rows)
+        tree = build_tree(rows)
         seed = rng.random()
 
         ref_ledger, ref_rng = EvalLedger(tasks), random.Random(seed)
@@ -71,7 +71,7 @@ def test_tree_crossover_matches_the_reference(num_tasks, max_p):
         )
         new_ledger, new_rng = EvalLedger(tasks), random.Random(seed)
         pi, pj = copy.deepcopy(parents)
-        new = tree_crossover(pi, pj, tree.crossover_masks(), task, max_p, new_rng, new_ledger)
+        new = tree_crossover(pi, pj, tree.crossover_masks(), tid, max_p, new_rng, new_ledger)
 
         for got, want in zip(new, ref):
             assert got.genotype == want.genotype
