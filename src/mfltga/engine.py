@@ -2,11 +2,12 @@
 
 One run: initialize a shared population evaluated on every task, then per
 generation rebuild the per-task crossover masks, run assortative mating, and
-keep the fittest n individuals out of the union of the current population and
-the intermediate pool (offspring plus backups).  The loop stops at the
-evaluation budget, or as soon as every task with a known optimum has been
-solved.  Budget checks sit at generation boundaries, so a run can overshoot
-max_evals by at most one generation's worth of evaluations.
+keep the fittest n individuals out of the current population and its
+offspring.  A mixed pair's losing parent survives, if at all, as a current
+member.  The loop stops at the evaluation budget, or as soon as every task
+with a known optimum has been solved.  Budget checks sit at generation
+boundaries, so a run can overshoot max_evals by at most one generation's
+worth of evaluations.
 """
 from __future__ import annotations
 
@@ -110,7 +111,7 @@ def run_mfltga(
     while ledger.count < max_evals and not ledger.all_known_solved():
         masks = build_all_trees(pop, tasks)
         outcome = assortative_mating(pop, masks, rng, max_p=max_p, mutation_rate=mutation_rate)
-        intermediate = Population(outcome.offspring_pop + outcome.backup_pop, ledger)
+        intermediate = Population(outcome.offspring_pop, ledger)
         pop = select_fittest(pop, intermediate, pop_size)
         generation += 1
         if generation % trace_every == 0:

@@ -256,20 +256,15 @@ def rank_members(members: Sequence[Individual], num_tasks: int) -> list:
 
 
 def select_fittest(current: Population, intermediate: Population, n: int) -> Population:
-    """Survivor selection over the union of current and intermediate pools.
+    """Survivor selection over the current members followed by the intermediate ones.
 
-    The union is by object identity, so parents that re-enter through the
-    backup pool are not double counted.  The union is ranked afresh before
-    truncation by scalar fitness.  Ties on scalar fitness are broken by the
-    lower factorial cost on the individual's skill task, then by pool order
-    (current first).
+    The intermediate pool holds only new individuals (the offspring), so a
+    parent survives, if at all, as a current member.  The pool is ranked
+    afresh before truncation by scalar fitness.  Ties on scalar fitness are
+    broken by the lower factorial cost on the individual's skill task, then
+    by pool order (current first).
     """
-    pool = []
-    seen = set()
-    for ind in current.members + intermediate.members:
-        if id(ind) not in seen:
-            seen.add(id(ind))
-            pool.append(ind)
+    pool = current.members + intermediate.members
     if len(pool) < n:
         raise InvalidStateError(f"selection pool holds {len(pool)} < {n} individuals")
     fitness = rank_members(pool, len(current.tasks))

@@ -184,7 +184,7 @@ def parse_instance(text: str) -> ClusteredGraph:
         line = raw.strip()
         if not line or ended:
             continue
-        if line == "EOF":
+        if line.upper() == "EOF":
             ended = True
             continue
         upper = line.split(":")[0].strip().upper()

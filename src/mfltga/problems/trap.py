@@ -9,6 +9,7 @@ m*k - value, so the unique optimum (all ones) has cost 0.
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
@@ -27,33 +28,14 @@ class TrapSpec:
             raise ConfigurationError(f"block_size must be >= 1, got {self.block_size}")
         if self.num_blocks < 1:
             raise ConfigurationError(f"num_blocks must be >= 1, got {self.num_blocks}")
+        if self.length > sys.maxsize:
+            raise ConfigurationError(
+                f"genotype length {self.length} (block_size * num_blocks) exceeds {sys.maxsize}"
+            )
 
     @property
     def length(self) -> int:
         return self.block_size * self.num_blocks
-
-
-def _as_bytes(bits):
-    """The genes of a list, tuple or array as one bytearray, or None if they do not fit."""
-    if hasattr(bits, "tolist"):
-        bits = bits.tolist()  # an array's own buffer holds items wider than a byte
-    try:
-        return bytearray(bits)
-    except (TypeError, ValueError):
-        return None
-
-
-def _non_bit(bits) -> ConfigurationError:
-    """The error naming the first gene of bits that is not a byte 0 or 1."""
-    if hasattr(bits, "tolist"):
-        bits = bits.tolist()
-    for pos, gene in enumerate(bits):
-        try:
-            if bytearray((gene,)) in (b"\x00", b"\x01"):
-                continue
-        except (TypeError, ValueError):
-            pass
-        return ConfigurationError(f"gene {gene!r} at position {pos} is not a bit")
 
 
 def objective(spec: TrapSpec):
@@ -62,13 +44,11 @@ def objective(spec: TrapSpec):
     A block with u ones costs k - score: 0 when u = k, else u + 1.  Summed
     over the m blocks that is (total ones) + m - (k + 1) * (all-ones blocks).
 
-    The returned function reads a `bytearray` (the engine's genotype) in
-    place.  Any other `bits` holds the ints 0 and 1 (bools count as ints): a
-    list or tuple, or an array read through its `tolist()` (a numpy integer
-    or bool array, an `array.array`); its genes are first copied into a
-    bytearray.  A gene other than a byte 0 or 1, a float such as 1.0
-    included, raises ConfigurationError naming the first one.  The bit check,
-    the ones count and the all-ones block count are C-level passes over the
+    The returned function reads a `bytearray`, the engine's genotype for a
+    binary task, in place.  A `bits` of the wrong length, or of the instance
+    length but another type, raises ConfigurationError saying so, and so
+    does a byte other than 0 or 1, naming the first one.  The bit check, the
+    ones count and the all-ones block count are C-level passes over the
     bytes.  The function binds k, m and the block splitter once; a task
     keeps it as its objective.
     """
@@ -82,10 +62,12 @@ def objective(spec: TrapSpec):
             raise ConfigurationError(
                 f"genotype length {len(bits)} does not match instance length {length}"
             )
-        genes = bits if type(bits) is bytearray else _as_bytes(bits)
-        if genes is None or genes.translate(None, b"\x00\x01"):
-            raise _non_bit(bits)
-        return genes.count(1) + m - (k + 1) * blocks(genes).count(all_ones)
+        if type(bits) is not bytearray:
+            raise ConfigurationError(f"genotype must be a bytearray, got {type(bits).__name__}")
+        if bits.translate(None, b"\x00\x01"):
+            pos = length - len(bits.lstrip(b"\x00\x01"))
+            raise ConfigurationError(f"gene {bits[pos]} at position {pos} is not a bit")
+        return bits.count(1) + m - (k + 1) * blocks(bits).count(all_ones)
 
     return cost
 

@@ -1,10 +1,11 @@
 """Variation: assortative mating, mask-swap crossover, mutation.
 
 The mating flow pairs the population at random.  Parents sharing a skill
-factor recombine inside that task; mixed pairs flip a fair coin for the task,
-and the parent whose task lost the coin is copied unchanged into the backup
-pool.  Offspring are charged only on the selected task, through
-``mfo.task_cost``; their skill factors are left to the next ranking.
+factor recombine inside that task; mixed pairs flip a fair coin for the task.
+The parent whose task lost the coin is listed as the pair's backup, a report
+of mixed pairs only: it survives, if at all, as a current member.  Offspring
+are charged only on the selected task, through ``mfo.task_cost``; their skill
+factors are left to the next ranking.
 Crossover walks the selected task's crossover masks in order, swapping
 each mask in place between the working pair and undoing the swap unless a
 child strictly beats both current parents on the selected task.
@@ -29,7 +30,10 @@ from .mfo import (
 
 @dataclass
 class MatingOutcome:
-    """Offspring (best of each pair) plus the unselected mixed-pair parents."""
+    """Offspring (best of each pair) plus the losing parent of each mixed pair.
+
+    Selection reads only offspring_pop; backup_pop reports the mixed pairs.
+    """
 
     offspring_pop: list
     backup_pop: list
@@ -128,8 +132,9 @@ def assortative_mating(
     masks[j] holds task j + 1's crossover masks, shared by every pair that
     selects that task.  Returns the best offspring of each pair, holding a
     cost on the pair's selected task and no skill factor until the next
-    ranking, plus the backup pool of unmodified parents whose skill task lost
-    the coin flip.
+    ranking, plus one backup per mixed pair, the parent whose skill task lost
+    the coin flip.  Selection does not read the backups: a losing parent
+    survives, if at all, as a current member.
     """
     members = pop.members
     if len(members) % 2 != 0:

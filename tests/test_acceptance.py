@@ -187,7 +187,8 @@ def test_a5_trap_oracle_agreement():
         k, m = combos[rng.randrange(len(combos))]
         spec = trap.TrapSpec(k, m)
         bits = [rng.randrange(2) for _ in range(spec.length)]
-        if float(trap.objective(spec)(bits)) != float(reference_trap_cost(bits, k, m)):
+        engine_cost = trap.objective(spec)(bytearray(bits))
+        if float(engine_cost) != float(reference_trap_cost(bits, k, m)):
             mismatches += 1
     ok = not bad and mismatches == 0
     _report(

@@ -194,6 +194,15 @@ def test_repeated_dtf_parameter_exits_with_error(capsys):
     assert "repeated dtf parameter 'k'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "problem", ["dtf:k=99999999999999999999,m=1", "dtf:k=1,m=99999999999999999999"]
+)
+def test_dtf_genotype_past_sys_maxsize_exits_with_error(problem, capsys):
+    assert main(["run", "--problem", problem, "--runs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: genotype length 99999999999999999999 ")
+
+
 def test_bad_instance_file_exits_with_error(tmp_path, capsys):
     bad = tmp_path / "broken.cluspt"
     bad.write_text("DIMENSION: 2\nCLUSTERS: 1\nSOURCE: 1\n")

@@ -53,6 +53,15 @@ def test_parse_explicit_fixture():
     assert sorted(g.edges()) == [(0, 1, 1), (1, 2, 1), (2, 3, 1)]
 
 
+@pytest.mark.parametrize("eof", ["eof", "Eof"])
+def test_parse_matches_eof_in_any_case(eof):
+    text = (INSTANCES / "path4.cluspt").read_text()
+    assert text.rstrip().endswith("\nEOF")
+    g = cluspt.parse_instance(text.rstrip()[: -len("EOF")] + eof + "\n")
+    assert g.clusters == load("path4").clusters
+    assert sorted(g.edges()) == sorted(load("path4").edges())
+
+
 def test_parse_euclidean_weights_round_to_nearest_int():
     g = load("euc5")
     assert g.adjacency[0][1] == 5  # hypot(3, 4)

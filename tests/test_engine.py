@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -154,6 +155,43 @@ def test_a_300_letter_task_runs_on_list_genotypes():
     record = run_mfltga([task], pop_size=8, max_evals=400, seed=3)
     assert record.generations >= 1 and record.total_evals >= 400
     assert seen == {list}
+
+
+def test_selection_sees_only_offspring_and_trap_sees_only_bytearrays(monkeypatch):
+    # survivor selection takes the current members plus the offspring alone, so
+    # a mixed pair's losing parent never re-enters; the trap evaluator is only
+    # ever handed the engine's bytearray genotype
+    genotype_types = []
+    mixed_pairs = []
+
+    def recording(task):
+        def objective(bits):
+            genotype_types.append(type(bits))
+            return task.objective(bits)
+
+        return dataclasses.replace(task, objective=objective)
+
+    def checked_mating(pop, masks, rng, **kwargs):
+        outcome = engine_mating(pop, masks, rng, **kwargs)
+        mixed_pairs.append(len(outcome.backup_pop))
+        return outcome
+
+    def checked_select(current, intermediate, n):
+        parents = {id(ind) for ind in current.members}
+        assert not any(id(ind) in parents for ind in intermediate.members)
+        return engine_select(current, intermediate, n)
+
+    engine_mating, engine_select = engine.assortative_mating, engine.select_fittest
+    kwargs = dict(pop_size=64, max_evals=200_000, seed=7)
+    plain = run_mfltga(trap_tasks(4, 5, copies=2), **kwargs)
+    monkeypatch.setattr(engine, "assortative_mating", checked_mating)
+    monkeypatch.setattr(engine, "select_fittest", checked_select)
+    record = run_mfltga([recording(t) for t in trap_tasks(4, 5, copies=2)], **kwargs)
+    assert record.to_dict() == plain.to_dict()
+    assert len(mixed_pairs) == record.generations >= 2
+    assert sum(mixed_pairs) > 0
+    assert len(genotype_types) == record.total_evals
+    assert set(genotype_types) == {bytearray}
 
 
 def test_known_trap_blocks_at_the_mask_seam_beat_the_learned_tree(monkeypatch):

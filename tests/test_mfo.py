@@ -297,20 +297,6 @@ def test_select_fittest_truncates_by_scalar_fitness():
     assert len(out.members) == 2
 
 
-def test_select_fittest_unions_by_identity():
-    # a parent also present in the intermediate pool is counted once
-    tasks = [sum_task(1, dimension=2)]
-    ledger = EvalLedger(tasks)
-    a = evaluated(ledger, [0, 0])
-    b = evaluated(ledger, [1, 1])
-    pop = Population([a, b], ledger)
-    rank_members(pop.members, 1)
-    with pytest.raises(InvalidStateError):
-        select_fittest(pop, Population([a], ledger), 3)
-    out = select_fittest(pop, Population([a], ledger), 2)
-    assert set(map(id, out.members)) == {id(a), id(b)}
-
-
 def test_select_fittest_reranks_the_union():
     tasks = [sum_task(1, dimension=2)]
     ledger = EvalLedger(tasks)

@@ -71,7 +71,7 @@ def test_reference_cost_matches_engine_evaluator():
             p = rng.random()
             bits = [int(rng.random() < p) for _ in range(spec.length)]
             expected = reference_trap_cost(bits, spec.block_size, spec.num_blocks)
-            assert trap.objective(spec)(bits) == expected
+            assert trap.objective(spec)(bytearray(bits)) == expected
 
 
 def test_reference_cost_rejects_wrong_length():

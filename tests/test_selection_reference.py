@@ -2,10 +2,10 @@
 
 Rank and scalar fitness now live only inside one ranking pass; the former
 code stored them on every individual.  Over generated pools with one to four
-tasks, costs drawn from a small set so that ranks and fitness tie, missing
-costs, and intermediate members that are the same objects as current members,
-both versions must pick the same survivors in the same order, set the same
-skill factors and reject the same bad pools.
+tasks, costs drawn from a small set so that ranks and fitness tie, and
+missing costs, both versions must pick the same survivors in the same order,
+set the same skill factors and reject the same bad pools.  The intermediate
+pool is disjoint from the current one, as the engine's offspring are.
 """
 import copy
 
@@ -33,15 +33,6 @@ def ledger_for(num_tasks):
     return EvalLedger([TaskDefinition(t, 1, 2, lambda genes: 0.0) for t in range(1, num_tasks + 1)])
 
 
-def unique(members):
-    pool, seen = [], set()
-    for ind in members:
-        if id(ind) not in seen:
-            seen.add(id(ind))
-            pool.append(ind)
-    return pool
-
-
 def positions(pool, members):
     index = {id(ind): pos for pos, ind in enumerate(pool)}
     return [index[id(ind)] for ind in members]
@@ -63,8 +54,7 @@ def selection_cases(draw):
         members.append(Individual([pos], costs, skill_factor=skills[pos] or None))
     split = draw(st.integers(1, len(members)))
     current = members[:split]
-    shared = draw(st.lists(st.sampled_from(current), max_size=len(current)))
-    intermediate = list(draw(st.permutations(members[split:] + shared)))
+    intermediate = list(draw(st.permutations(members[split:])))
     n = draw(st.integers(1, len(members)))
     return current, intermediate, n, k
 
@@ -74,10 +64,9 @@ def selection_cases(draw):
 def test_selection_matches_the_reference(case):
     current, intermediate, n, k = case
     ledger = ledger_for(k)
-    # each deep copy keeps the sharing between the current and intermediate lists
     ref_current, ref_intermediate = copy.deepcopy((current, intermediate))
-    ref_pool = unique(ref_current + ref_intermediate)
-    pool = unique(current + intermediate)
+    ref_pool = ref_current + ref_intermediate
+    pool = current + intermediate
 
     want = selection_reference.select_fittest(
         Population(ref_current, ledger), Population(ref_intermediate, ledger), n
@@ -98,7 +87,7 @@ def test_selection_matches_the_reference(case):
 def test_both_reject_a_member_without_costs(case, data):
     current, intermediate, n, k = case
     ledger = ledger_for(k)
-    victim = data.draw(st.sampled_from(unique(current + intermediate)))
+    victim = data.draw(st.sampled_from(current + intermediate))
     victim.factorial_costs = [None] * k
     for select in (selection_reference.select_fittest, select_fittest):
         with pytest.raises(InvalidStateError, match="no factorial cost on any task"):
@@ -110,7 +99,7 @@ def test_both_reject_a_member_without_costs(case, data):
 def test_both_reject_a_pool_smaller_than_n(case, excess):
     current, intermediate, _, k = case
     ledger = ledger_for(k)
-    n = len(unique(current + intermediate)) + excess
+    n = len(current) + len(intermediate) + excess
     for select in (selection_reference.select_fittest, select_fittest):
         with pytest.raises(InvalidStateError, match="selection pool holds"):
             select(Population(current, ledger), Population(intermediate, ledger), n)

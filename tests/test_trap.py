@@ -1,3 +1,4 @@
+import array
 import random
 import re
 
@@ -9,7 +10,7 @@ from mfltga.problems import trap
 
 
 def one_block(bits):
-    return trap.objective(trap.TrapSpec(len(bits), 1))(bits)
+    return trap.objective(trap.TrapSpec(len(bits), 1))(bytearray(bits))
 
 
 def test_block_score_cases():
@@ -23,33 +24,49 @@ def test_block_score_cases():
 def test_block_rejects_non_bits():
     with pytest.raises(ConfigurationError, match="gene 2 "):
         one_block([0, 2, 1])
-    for bad in (2, -1):
-        bits = [1] * 9
+    for bad in (2, 255):
+        bits = bytearray([1] * 9)
         bits[7] = bad
-        with pytest.raises(ConfigurationError, match=f"gene {bad} at position 7"):
+        bits[8] = 3  # only the first non-bit is named
+        with pytest.raises(ConfigurationError, match=f"^gene {bad} at position 7 is not a bit$"):
             trap.objective(trap.TrapSpec(3, 3))(bits)
 
 
-NON_BITS = [None, 2, -1, 256, "1", [1], 0.5, 1.0, 0.0]
+NON_BITS = [None, 2, 255, -1, 256, "1", [1], 0.5, 1.0, 0.0]
 
 
 @pytest.mark.parametrize("pos", [0, 7, 14])
 @pytest.mark.parametrize("gene", NON_BITS, ids=repr)
 def test_evaluate_rejects_every_non_bit_gene(gene, pos):
+    # a byte is named by the bit check; any other gene cannot sit in a
+    # bytearray, so it arrives in a list and the type check rejects it
     bits = [1] * 15
     bits[pos] = gene
-    message = rf"^gene {re.escape(repr(gene))} at position {pos} is not a bit$"
+    if isinstance(gene, int) and 0 <= gene <= 255:
+        bits = bytearray(bits)
+        message = rf"^gene {gene} at position {pos} is not a bit$"
+    else:
+        message = "^genotype must be a bytearray, got list$"
     with pytest.raises(ConfigurationError, match=message):
         trap.objective(trap.TrapSpec(5, 3))(bits)
 
 
-def test_evaluate_rejects_float_arrays_and_names_the_first_bad_gene():
-    bits = np.ones(15)
-    with pytest.raises(ConfigurationError, match="gene 1.0 at position 0 is not a bit"):
-        trap.objective(trap.TrapSpec(5, 3))(bits)
-    bits = np.ones(15, dtype=np.int64)
-    bits[[4, 9]] = 3
-    with pytest.raises(ConfigurationError, match="gene 3 at position 4 is not a bit"):
+@pytest.mark.parametrize(
+    "make",
+    [
+        list,
+        tuple,
+        bytes,
+        lambda bits: np.array(bits, dtype=np.int64),
+        lambda bits: np.array(bits, dtype=bool),
+        lambda bits: array.array("B", bits),
+    ],
+    ids=["list", "tuple", "bytes", "int64-array", "bool-array", "array.array"],
+)
+def test_evaluate_rejects_every_genotype_but_a_bytearray(make):
+    bits = make([1, 0, 1] * 5)
+    message = rf"^genotype must be a bytearray, got {re.escape(type(bits).__name__)}$"
+    with pytest.raises(ConfigurationError, match=message):
         trap.objective(trap.TrapSpec(5, 3))(bits)
 
 
@@ -67,29 +84,19 @@ def test_block_deception_all_zeros_is_second_best():
 
 
 def test_evaluate_hand_cases():
-    assert trap.objective(trap.TrapSpec(3, 5))([1] * 15) == 0
+    assert trap.objective(trap.TrapSpec(3, 5))(bytearray([1] * 15)) == 0
     # value 2 + 3 + 2 = 7
-    assert trap.objective(trap.TrapSpec(3, 3))([0, 0, 0, 1, 1, 1, 0, 0, 0]) == 2
+    assert trap.objective(trap.TrapSpec(3, 3))(bytearray([0, 0, 0, 1, 1, 1, 0, 0, 0])) == 2
     # value 0
-    assert trap.objective(trap.TrapSpec(4, 1))([0, 1, 1, 1]) == 4
-    assert trap.objective(trap.TrapSpec(2, 3))([0, 1, 1, 1, 0, 0]) == 3
-    assert isinstance(trap.objective(trap.TrapSpec(2, 3))([0, 1, 1, 1, 0, 0]), int)
+    assert trap.objective(trap.TrapSpec(4, 1))(bytearray([0, 1, 1, 1])) == 4
+    assert trap.objective(trap.TrapSpec(2, 3))(bytearray([0, 1, 1, 1, 0, 0])) == 3
+    assert isinstance(trap.objective(trap.TrapSpec(2, 3))(bytearray([0, 1, 1, 1, 0, 0])), int)
 
 
 def test_evaluate_rejects_wrong_length():
     message = "genotype length 14 does not match instance length 15"
     with pytest.raises(ConfigurationError, match=message):
-        trap.objective(trap.TrapSpec(3, 5))([1] * 14)
-
-
-def test_evaluate_accepts_tuples_and_arrays():
-    rng = random.Random(5)
-    spec = trap.TrapSpec(5, 4)
-    for _ in range(50):
-        bits = [rng.randrange(2) for _ in range(spec.length)]
-        cost = trap.objective(spec)(bits)
-        assert trap.objective(spec)(tuple(bits)) == cost
-        assert trap.objective(spec)(np.array(bits)) == cost
+        trap.objective(trap.TrapSpec(3, 5))(bytearray([1] * 14))
 
 
 def test_value_is_additive_over_blocks():
@@ -101,7 +108,7 @@ def test_value_is_additive_over_blocks():
             one_block(bits[s : s + spec.block_size])
             for s in range(0, spec.length, spec.block_size)
         )
-        assert trap.objective(spec)(bits) == per_block
+        assert trap.objective(spec)(bytearray(bits)) == per_block
 
 
 def test_spec_validation():
@@ -109,6 +116,11 @@ def test_spec_validation():
         trap.TrapSpec(0, 5)
     with pytest.raises(ConfigurationError):
         trap.TrapSpec(3, 0)
+    # a genotype longer than sys.maxsize has no index-sized length
+    huge = 99999999999999999999
+    for k, m in ((huge, 1), (1, huge)):
+        with pytest.raises(ConfigurationError, match=f"genotype length {huge} "):
+            trap.TrapSpec(k, m)
 
 
 @pytest.mark.parametrize("args", [(5.0, 3), (2, 2.0), (True, 3), (3, False), ("3", 3)])
@@ -123,9 +135,9 @@ def test_make_task_wires_the_objective():
     assert task.dimension == 15
     assert task.alphabet_size == 2
     assert task.known_optimum == 0.0
-    assert task.objective([1] * 15) == 0
+    assert task.objective(bytearray([1] * 15)) == 0
     # one deceptive block: value 2 + 4*3 = 14, cost 15 - 14 = 1
-    assert task.objective([0, 0, 0] + [1] * 12) == 1
+    assert task.objective(bytearray([0, 0, 0] + [1] * 12)) == 1
 
 
 def test_instance_grid_shape():

@@ -2,14 +2,12 @@
 
 Bit strings are drawn with a random ones-rate, so rates at or near 0 and 1
 make all-zeros and all-ones blocks common.  Every string is evaluated as a
-bytearray (the engine's genotype), a list, a tuple, an int64 array and a bool
-array, through the task's objective and through a fresh ``trap.objective``
-of the same spec.  Strings holding one non-bit gene must raise the same error
-from every container.
+bytearray, the engine's genotype, through the task's objective and through a
+fresh ``trap.objective`` of the same spec.  Strings holding non-bit bytes
+must raise an error naming the first one from both.
 """
 import re
 
-import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -29,15 +27,6 @@ def trap_cases(draw):
     return k, m, [int(u < rate) for u in draws]
 
 
-def containers(bits, with_bool=True):
-    yield bytearray(bits)
-    yield bits
-    yield tuple(bits)
-    yield np.array(bits, dtype=np.int64)
-    if with_bool:
-        yield np.array(bits, dtype=bool)
-
-
 @settings(max_examples=300, deadline=None)
 @given(trap_cases())
 def test_evaluate_matches_the_reference_cost(case):
@@ -45,22 +34,23 @@ def test_evaluate_matches_the_reference_cost(case):
     spec = trap.TrapSpec(k, m)
     objective = trap.make_task(spec).objective
     expected = reference_trap_cost(bits, k, m)
-    for x in containers(bits):
-        for cost in (objective(x), trap.objective(spec)(x)):
-            assert type(cost) is int
-            assert cost == expected
+    genes = bytearray(bits)
+    for cost in (objective(genes), trap.objective(spec)(genes)):
+        assert type(cost) is int
+        assert cost == expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(trap_cases(), st.data())
-def test_non_bit_genes_raise_the_same_error_from_every_container(case, data):
+def test_non_bit_bytes_raise_an_error_naming_the_first(case, data):
     k, m, bits = case
-    pos = data.draw(st.integers(0, k * m - 1))
-    bits[pos] = data.draw(st.sampled_from([2, 255]))
+    positions = sorted(data.draw(st.sets(st.integers(0, k * m - 1), min_size=1, max_size=3)))
+    for pos in positions:
+        bits[pos] = data.draw(st.sampled_from([2, 255]))
+    genes = bytearray(bits)
     spec = trap.TrapSpec(k, m)
     objective = trap.make_task(spec).objective
-    message = f"gene {bits[pos]} at position {pos} is not a bit"
-    for x in containers(bits, with_bool=False):
-        for evaluate in (objective, trap.objective(spec)):
-            with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
-                evaluate(x)
+    message = f"gene {bits[positions[0]]} at position {positions[0]} is not a bit"
+    for evaluate in (objective, trap.objective(spec)):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            evaluate(genes)
