@@ -44,11 +44,15 @@ class RunRecord:
     task_ids: tuple
     best_found: tuple
     evals_to_success: tuple
-    optimum_found: tuple
     generations: int
     total_evals: int
     trace: list
     wall_time: float
+
+    @property
+    def optimum_found(self) -> tuple:
+        """Per task, whether the run reached its known optimum."""
+        return tuple(hit is not None for hit in self.evals_to_success)
 
     def to_dict(self) -> dict:
         return {
@@ -122,7 +126,6 @@ def run_mfltga(
         task_ids=tuple(t.task_id for t in tasks),
         best_found=tuple(ledger.best),
         evals_to_success=tuple(ledger.first_success),
-        optimum_found=tuple(s is not None for s in ledger.first_success),
         generations=generation,
         total_evals=ledger.count,
         trace=trace,

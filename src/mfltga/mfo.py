@@ -30,6 +30,15 @@ def require_int(name: str, value) -> None:
         raise ConfigurationError(f"{name} must be an int, got {value!r}")
 
 
+def _is_finite_real(value) -> bool:
+    """True for a finite int, float or numpy real scalar, not a bool, as for a cost."""
+    try:
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        return real and math.isfinite(value)
+    except OverflowError:  # an int past the float range is infinite
+        return False
+
+
 @dataclass
 class TaskDefinition:
     """One minimization task hosted in the shared search space.
@@ -46,7 +55,7 @@ class TaskDefinition:
         exactly `dimension` genes long the objective receives the live
         genotype, which tree crossover then swaps in place.
     known_optimum : optimal cost if known (enables success accounting); None or
-        a finite int or float.
+        a finite real number, by the rule the ledger applies to costs.
     """
 
     task_id: int
@@ -65,9 +74,7 @@ class TaskDefinition:
         if not callable(self.objective):
             raise ConfigurationError(f"task {self.task_id}: objective must be callable")
         opt = self.known_optimum
-        if opt is not None and (
-            isinstance(opt, bool) or not isinstance(opt, (int, float)) or not math.isfinite(opt)
-        ):
+        if opt is not None and not _is_finite_real(opt):
             raise ConfigurationError(
                 f"task {self.task_id}: known_optimum must be None or a finite number, got {opt!r}"
             )

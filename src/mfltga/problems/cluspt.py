@@ -26,11 +26,11 @@ complete graphs with weights rounded to the nearest integer.
 
 Genotypes are integer priority vectors.  The decoder grows each cluster's
 internal tree and the cluster-level tree by highest-priority frontier
-expansion and realizes cluster-level edges as the cheapest concrete edge
-between the two clusters.  Each graph keeps a bounded memo of recently grown
-trees, so a cluster whose priorities were seen before is not regrown: a
-cluster's entry is its tree rooted at its seed, and the cluster-level entry
-lists the clusters top-down with the vertex each one is entered at.  A
+expansion; a cluster-level link is the cheapest concrete edge between its
+two clusters.  Each graph keeps a bounded memo of recently grown trees, so a
+cluster whose priorities were seen before is not regrown: a cluster's entry
+is its tree rooted at its seed, and the cluster-level entry is the tree of
+clusters, each reached through the concrete edge it is entered by.  A
 decode re-roots each cluster's tree at its entry vertex to orient everything
 away from the source; decoding gives the same tree either way.
 """
@@ -88,50 +88,51 @@ class ClusteredGraph:
         )
 
     @cached_property
-    def cluster_edges(self) -> dict:
-        """cluster_edges[a, b], a < b, is (w, lo, hi) for the cheapest edge lo-hi between them.
+    def cluster_links(self) -> tuple:
+        """cluster_links[a] lists (w, b, x, y), ascending, for each cluster b adjacent to a.
 
-        Ties are broken by lower endpoint ids.
+        x-y is the cheapest edge between the two clusters, of weight w, with x
+        in a and y in b; ties go to the lower endpoint ids.  As b is unique in
+        the list, the order is that of (w, b).
         """
         owner = self.owner
         cheapest = {}
         for u, v, w in self.edges():
-            a, b = owner[u], owner[v]
-            if a != b:
-                pair = (min(a, b), max(a, b))
-                cand = (w, min(u, v), max(u, v))
-                if pair not in cheapest or cand < cheapest[pair]:
-                    cheapest[pair] = cand
-        return cheapest
-
-    @cached_property
-    def cluster_links(self) -> tuple:
-        """cluster_links[a] lists (w, b), ascending, for each cluster b adjacent to a.
-
-        w is the weight of the cheapest edge between the two clusters.
-        """
+            pair = frozenset((owner[u], owner[v]))
+            if len(pair) == 2 and (w, u, v) < cheapest.get(pair, (math.inf,)):
+                cheapest[pair] = (w, u, v)
         links = [[] for _ in self.clusters]
-        for (a, b), (w, _, _) in self.cluster_edges.items():
-            links[a].append((w, b))
-            links[b].append((w, a))
-        return tuple(sorted(pairs) for pairs in links)
+        for w, u, v in cheapest.values():
+            links[owner[u]].append((w, owner[v], u, v))
+            links[owner[v]].append((w, owner[u], v, u))
+        return tuple(sorted(quads) for quads in links)
 
     @cached_property
     def cluster_keys(self) -> tuple:
-        """cluster_keys[c](prio) is the tuple of prio over cluster c, in its vertex order."""
-        return tuple(_picker(cluster) for cluster in self.clusters)
+        """cluster_keys[c](prio) is prio over cluster c, in its vertex order.
+
+        That is a tuple, or a bare priority for a one-vertex cluster: a key
+        is only compared with others of the same cluster.
+        """
+        return tuple(itemgetter(*cluster) for cluster in self.clusters)
 
     @cached_property
     def lead_key(self):
-        """lead_key(prio)[c] is the priority of cluster c's lowest-id vertex."""
-        return _picker([min(cluster) for cluster in self.clusters])
+        """lead_key(prio)[c] is the priority of cluster c's lowest-id vertex.
+
+        With one cluster it is that bare priority, which is never indexed:
+        the source's cluster then has no neighbours.
+        """
+        return itemgetter(*(min(cluster) for cluster in self.clusters))
 
     @cached_property
     def memo(self) -> tuple:
         """Grown trees by key: one table per cluster, then the cluster-level one.
 
-        A cluster table maps a key to the ``_grow`` map rooted at the
-        cluster's seed; the cluster-level table maps one to ``_cluster_level``.
+        Every table maps a key to a ``_grow`` map: a cluster's is rooted at
+        its seed, the cluster-level one at the source's cluster, and each of
+        its links holds the vertex a cluster is entered at and the vertex
+        outside that it hangs from.
         """
         return tuple({} for _ in range(self.num_clusters + 1))
 
@@ -140,14 +141,6 @@ class ClusteredGraph:
             for v, w in self.adjacency[u].items():
                 if u < v:
                     yield u, v, w
-
-
-def _picker(ids):
-    """Function returning the tuple of prio at ids."""
-    get = itemgetter(*ids)
-    if len(ids) == 1:
-        return lambda prio: (get(prio),)
-    return get
 
 
 @dataclass
@@ -391,20 +384,22 @@ def _reachable(adjacency, start, allowed) -> set:
 def _grow(root, prio, links):
     """Tree grown from root by highest-priority frontier expansion.
 
-    links[x] lists (w, y) for every item y joined to x by a link of weight w,
-    in ascending order.  Each step adds the frontier item with the highest
-    prio[y], ties broken by lower id, attached through its lowest-weight link
-    into the tree, then the one from the lower tree-side item: the first of
-    links[y] that reaches the tree.  Returns {root: None, y: (w, x), ...}:
-    each item added maps to that link, in the order added, so the map is
-    top-down from root.  The tree spans only what root can reach.
+    links[x] lists (w, y, ...) for every item y joined to x by a link of
+    weight w, in ascending order; anything after y rides along.  Each step
+    adds the frontier item with the highest prio[y], ties broken by lower
+    id, attached through its lowest-weight link into the tree, then the one
+    from the lower tree-side item: the first of links[y] that reaches the
+    tree.  Returns {root: None, y: (w, x, ...), ...}: each item added maps to
+    that link, in the order added, so the map is top-down from root.  The
+    tree spans only what root can reach.
     """
     tree = {root: None}
     seen = {root}
     frontier = []
     x = root
     while True:
-        for _, y in links[x]:
+        for link in links[x]:
+            y = link[1]
             if y not in seen:
                 seen.add(y)
                 heappush(frontier, (-prio[y], y))
@@ -423,25 +418,6 @@ def _remember(memo: dict, key, grown) -> None:
     memo[key] = grown
 
 
-def _cluster_level(g: ClusteredGraph, cluster_prio) -> list:
-    """Top-down (cluster, entry vertex, outside parent, weight) of the cluster-level tree.
-
-    The source's cluster comes first, entered at the source with no parent;
-    every other cluster is entered through the cheapest concrete edge from
-    its tree-side cluster.
-    """
-    root = g.owner[g.source]
-    tops = _grow(root, cluster_prio, g.cluster_links)
-    if len(tops) != g.num_clusters:
-        raise InvalidStateError("cluster-level graph is not connected")
-    level = [(root, g.source, None, 0)]
-    for b, (w, a) in islice(tops.items(), 1, None):
-        _, lo, hi = g.cluster_edges[min(a, b), max(a, b)]
-        entry, outside = (lo, hi) if g.owner[lo] == b else (hi, lo)
-        level.append((b, entry, outside, w))
-    return level
-
-
 def decode(g: ClusteredGraph, genotype) -> TreeSolution:
     """Decode a priority vector into a feasible clustered spanning tree.
 
@@ -457,8 +433,10 @@ def decode(g: ClusteredGraph, genotype) -> TreeSolution:
     trees of recent keys are kept in ``g.memo`` and regrown only on a miss.
     A disconnected subgraph is never kept and raises on every call.
 
-    A cluster's entry is its tree rooted at its seed; the cluster-level entry
-    lists the clusters top-down with the vertex each is entered at.  Each
+    A cluster's entry is its tree rooted at its seed.  The cluster-level
+    entry is the tree of clusters grown from the source's, which maps each
+    other cluster, top-down, to its link (w, tree-side cluster, entry vertex,
+    outside vertex).  The source's cluster is entered at the source.  Each
     cluster is re-rooted at its entry vertex by reversing the path from there
     to the seed; its other vertices keep their seed-side parents.  Every
     distance is the one addition ``dist[parent] + w`` along the unique tree
@@ -483,18 +461,23 @@ def decode(g: ClusteredGraph, genotype) -> TreeSolution:
                 raise InvalidStateError("cluster subgraph is not connected")
             _remember(memo, key, tree)
         trees.append(tree)
-    cluster_prio = g.lead_key(prio)
+    lead_prio = g.lead_key(prio)
     memo = g.memo[-1]
-    level = memo.get(cluster_prio)
-    if level is None:
-        level = _cluster_level(g, cluster_prio)
-        _remember(memo, cluster_prio, level)
+    tops = memo.get(lead_prio)
+    if tops is None:
+        tops = _grow(g.owner[g.source], lead_prio, g.cluster_links)
+        if len(tops) != g.num_clusters:
+            raise InvalidStateError("cluster-level graph is not connected")
+        _remember(memo, lead_prio, tops)
 
     parent = [None] * g.n
     dist = [None] * g.n
     dist[g.source] = 0.0
-    for c, x, outside, w in level:
-        if outside is not None:
+    for c, link in tops.items():
+        if link is None:
+            x = g.source
+        else:
+            w, _, x, outside = link
             parent[x] = outside
             dist[x] = dist[outside] + w
         tree = trees[c]

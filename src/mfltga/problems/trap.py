@@ -45,12 +45,11 @@ def objective(spec: TrapSpec):
     over the m blocks that is (total ones) + m - (k + 1) * (all-ones blocks).
 
     The returned function reads a `bytearray`, the engine's genotype for a
-    binary task, in place.  A `bits` of the wrong length, or of the instance
-    length but another type, raises ConfigurationError saying so, and so
-    does a byte other than 0 or 1, naming the first one.  The bit check, the
-    ones count and the all-ones block count are C-level passes over the
-    bytes.  The function binds k, m and the block splitter once; a task
-    keeps it as its objective.
+    binary task, in place.  A `bits` of another type, or of the wrong length,
+    raises ConfigurationError saying so, and so does a byte other than 0 or
+    1, naming the first one.  The bit check, the ones count and the all-ones
+    block count are C-level passes over the bytes.  The function binds k, m
+    and the block splitter once; a task keeps it as its objective.
     """
     k, m = spec.block_size, spec.num_blocks
     length = k * m
@@ -58,12 +57,12 @@ def objective(spec: TrapSpec):
     all_ones = b"\x01" * k
 
     def cost(bits) -> int:
+        if type(bits) is not bytearray:
+            raise ConfigurationError(f"genotype must be a bytearray, got {type(bits).__name__}")
         if len(bits) != length:
             raise ConfigurationError(
                 f"genotype length {len(bits)} does not match instance length {length}"
             )
-        if type(bits) is not bytearray:
-            raise ConfigurationError(f"genotype must be a bytearray, got {type(bits).__name__}")
         if bits.translate(None, b"\x00\x01"):
             pos = length - len(bits.lstrip(b"\x00\x01"))
             raise ConfigurationError(f"gene {bits[pos]} at position {pos} is not a bit")

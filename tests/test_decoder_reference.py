@@ -128,6 +128,25 @@ def test_decode_matches_reference(label):
 
 
 @pytest.mark.parametrize("label", GRAPHS)
+def test_cluster_links_hold_the_cheapest_edge_between_two_clusters(label):
+    g = graph(label)
+    owner = g.owner
+    between = {}
+    for u, v, w in g.edges():
+        if owner[u] != owner[v]:
+            between.setdefault(frozenset((owner[u], owner[v])), []).append((w, u, v))
+    for a, links in enumerate(g.cluster_links):
+        adjacent = sorted(b for pair in between if a in pair for b in pair - {a})
+        assert sorted(link[1] for link in links) == adjacent
+        assert links == sorted(links, key=lambda link: link[:2])
+        for w, b, x, y in links:
+            # x lies in this list's own cluster, y in b
+            assert (owner[x], owner[y]) == (a, b)
+            # the cheapest edge, ties to the lower endpoint ids
+            assert (w, min(x, y), max(x, y)) == min(between[frozenset((a, b))])
+
+
+@pytest.mark.parametrize("label", GRAPHS)
 def test_memo_matches_reference_on_crossover_like_sequences(label):
     g = graph(label)
     rng = random.Random(label)

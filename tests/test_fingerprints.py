@@ -11,6 +11,7 @@ them and says so.  To print the current hashes run
 import hashlib
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -27,6 +28,22 @@ def trap_tasks(*shapes):
 
 def cluspt_tasks(name):
     return [cluspt.make_task(cluspt.parse_file(INSTANCES / f"{name}.cluspt"))]
+
+
+def synthetic_cluspt_tasks(n, num_clusters, seed):
+    """One task on a seeded EUC_2D instance of n random points dealt to clusters at random."""
+    rng = random.Random(seed)
+    order = rng.sample(range(1, n + 1), n)
+    coords = "\n".join(f"{v} {rng.randrange(1000)} {rng.randrange(1000)}" for v in range(1, n + 1))
+    clusters = "\n".join(
+        " ".join(map(str, [c, *sorted(order[c - 1 :: num_clusters]), -1]))
+        for c in range(1, num_clusters + 1)
+    )
+    text = (
+        f"DIMENSION: {n}\nCLUSTERS: {num_clusters}\nSOURCE: 1\nEDGE_WEIGHT_TYPE: EUC_2D\n"
+        f"NODE_COORD_SECTION\n{coords}\nCLUSTER_SECTION\n{clusters}\nEOF\n"
+    )
+    return [cluspt.make_task(cluspt.parse_instance(text))]
 
 
 # name -> (task factory, run_mfltga keyword arguments)
@@ -49,6 +66,11 @@ CASES = {
     "cluspt-euc5": (lambda: cluspt_tasks("euc5"), dict(pop_size=8, max_evals=600, seed=22)),
     "cluspt-rings6": (lambda: cluspt_tasks("rings6"), dict(pop_size=8, max_evals=600, seed=23)),
     "cluspt-blocks7": (lambda: cluspt_tasks("blocks7"), dict(pop_size=8, max_evals=600, seed=24)),
+    # 300 vertices give a 300-letter alphabet: list genotypes with genes above 255
+    "cluspt-synth300": (
+        lambda: synthetic_cluspt_tasks(300, 10, seed=1),
+        dict(pop_size=8, max_evals=200, seed=25),
+    ),
     "restart-max-p-0": (
         lambda: trap_tasks((4, 3), (4, 3)),
         dict(pop_size=16, max_evals=8_000, seed=31, max_p=0),
@@ -64,6 +86,7 @@ GOLDEN_RUNS = {
     "cluspt-euc5": "30f720b5a7359e21e39600ac11e5fd0f2f2db82b41976f5c337711ee45e5c7ac",
     "cluspt-path4": "6a3d579507ba07277ad5a842d2d5fb0562ac7d2ceb1442b1baf3190d0123b798",
     "cluspt-rings6": "35314eff3aa265ada471ad1c2a242f8653562c35f565213402d4cebae7a21458",
+    "cluspt-synth300": "1635c2901514e1d4f3476d0e03b6d6f7a88f30b88b0c1e55d401968ca1fc4653",
     "mutation-0": "01f06e39728b0ee894e6039c81fe92fd43f99515185fae1d4115302d131679e3",
     "mutation-0.05": "855b8f7617fbd1a94827bb68730b8171dff0eb6b00e64524e80fe51fc992f1ef",
     "restart-max-p-0": "1294b7109664ebf269ea3a65848b0b00797d30be95853082ee0e881c935d10d8",

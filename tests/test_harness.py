@@ -34,7 +34,6 @@ def record(points, task_ids=(1,), evals_to_success=(None,)):
         task_ids=task_ids,
         best_found=trace[-1].best,
         evals_to_success=evals_to_success,
-        optimum_found=tuple(e is not None for e in evals_to_success),
         generations=trace[-1].generation,
         total_evals=trace[-1].evals,
         trace=trace,

@@ -55,11 +55,12 @@ def test_task_definition_validation():
     for fields in ((1, 3.5, 2), (1, True, 2), (1, 4, 2.0), (1.0, 4, 2), (True, 4, 2)):
         with pytest.raises(ConfigurationError, match="must be an int"):
             TaskDefinition(*fields, lambda g: 0.0)
-    # a known optimum is None or a finite number, and a bool is not one
-    for optimum in ("0", math.nan, math.inf, True):
+    # a known optimum is None or a finite real number, as a cost is, and a
+    # bool or an int past the float range is not one
+    for optimum in ("0", math.nan, math.inf, True, np.float64(math.nan), np.bool_(True), 10**400):
         with pytest.raises(ConfigurationError, match="known_optimum must be"):
             TaskDefinition(1, 4, 2, lambda g: 0.0, known_optimum=optimum)
-    for optimum in (None, 0, -3, 2.5):
+    for optimum in (None, 0, -3, 2.5, np.int64(0), np.float32(0.5), np.uint8(3)):
         assert TaskDefinition(1, 4, 2, lambda g: 0.0, known_optimum=optimum).known_optimum == optimum
 
 

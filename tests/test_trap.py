@@ -60,8 +60,10 @@ def test_evaluate_rejects_every_non_bit_gene(gene, pos):
         lambda bits: np.array(bits, dtype=np.int64),
         lambda bits: np.array(bits, dtype=bool),
         lambda bits: array.array("B", bits),
+        lambda bits: 5,
+        lambda bits: None,
     ],
-    ids=["list", "tuple", "bytes", "int64-array", "bool-array", "array.array"],
+    ids=["list", "tuple", "bytes", "int64-array", "bool-array", "array.array", "int", "None"],
 )
 def test_evaluate_rejects_every_genotype_but_a_bytearray(make):
     bits = make([1, 0, 1] * 5)
