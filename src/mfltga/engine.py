@@ -7,7 +7,9 @@ offspring.  A mixed pair's losing parent survives, if at all, as a current
 member.  The loop stops at the evaluation budget, or as soon as every task
 with a known optimum has been solved.  Budget checks sit at generation
 boundaries, so a run can overshoot max_evals by at most one generation's
-worth of evaluations.
+worth of evaluations.  With mutation off, a generation that evaluated nothing
+also ends the run: crossover skips the masks on which a pair agrees, so a
+converged population would otherwise loop without spending its budget.
 """
 from __future__ import annotations
 
@@ -103,7 +105,9 @@ def run_mfltga(
 ) -> RunRecord:
     """Run the full loop on the given tasks with a dedicated seeded RNG.
 
-    Raises ConfigurationError on a bad keyword value before any evaluation.
+    The run ends at the budget, when every known optimum is reached, or, with
+    mutation_rate 0, after a generation that evaluated nothing.  Raises
+    ConfigurationError on a bad keyword value before any evaluation.
     """
     validate_run_parameters(pop_size, max_evals, max_p, mutation_rate, trace_every)
     rng = random.Random(seed)
@@ -113,6 +117,7 @@ def run_mfltga(
     trace = [TracePoint(0, ledger.count, tuple(ledger.best))]
     generation = 0
     while ledger.count < max_evals and not ledger.all_known_solved():
+        evals_before = ledger.count
         masks = build_all_trees(pop, tasks)
         outcome = assortative_mating(pop, masks, rng, max_p=max_p, mutation_rate=mutation_rate)
         intermediate = Population(outcome.offspring_pop, ledger)
@@ -120,6 +125,8 @@ def run_mfltga(
         generation += 1
         if generation % trace_every == 0:
             trace.append(TracePoint(generation, ledger.count, tuple(ledger.best)))
+        if mutation_rate == 0 and ledger.count == evals_before:
+            break
     if trace[-1].generation != generation:
         trace.append(TracePoint(generation, ledger.count, tuple(ledger.best)))
     return RunRecord(

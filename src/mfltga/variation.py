@@ -8,7 +8,9 @@ are charged only on the selected task, through ``mfo.task_cost``; their skill
 factors are left to the next ranking.
 Crossover walks the selected task's crossover masks in order, swapping
 each mask in place between the working pair and undoing the swap unless a
-child strictly beats both current parents on the selected task.
+child strictly beats both current parents on the selected task.  A mask on
+which the pair agrees at every gene is skipped: its swap would change
+neither child, so it costs no evaluation.
 Pairs that survive a whole traversal unimproved accumulate punishment; past
 the threshold the pair is replaced by fresh random individuals.
 """
@@ -52,10 +54,13 @@ def tree_crossover(
 
     Each mask's genes are swapped in place between the working copies of the
     parents and both are evaluated on the task; the swap is kept only when one
-    child strictly beats both current costs, else it is swapped back.  If no
-    swap is kept the pair's counter (the larger parent punish value) grows,
-    and past max_p the pair restarts from two fresh random individuals.  Both
-    offspring carry the resulting counter.
+    child strictly beats both current costs, else it is swapped back.  A mask
+    that meets none of the positions where the pair differs is skipped with
+    no swap and no evaluation; swaps only exchange values, so that set of
+    positions is the same for the whole traversal.  If no swap is kept the
+    pair's counter (the larger parent punish value) grows, and past max_p the
+    pair restarts from two fresh random individuals.  Both offspring carry the
+    resulting counter.
     """
     idx = tid - 1
     off_i, off_j = (
@@ -66,8 +71,11 @@ def tree_crossover(
     best = min(cost_i, cost_j)
     gi, gj = off_i.genotype, off_j.genotype
     evaluate = ledger.evaluate
+    agrees_on = {g for g in range(len(gi)) if gi[g] != gj[g]}.isdisjoint
     improved = False
     for mask in masks:
+        if agrees_on(mask):
+            continue
         for g in mask:
             gi[g], gj[g] = gj[g], gi[g]
         new_i = evaluate(gi, tid)

@@ -70,6 +70,19 @@ def test_budget_overshoot_is_at_most_one_generation():
     assert record.generations >= 1
 
 
+def test_a_converged_run_without_mutation_stops_after_a_generation_that_evaluated_nothing():
+    # crossover skips masks on which a pair agrees, so without mutation a
+    # converged population evaluates nothing; the run must end there and not
+    # loop until a budget it no longer spends
+    record = run_mfltga(
+        trap_tasks(5, 15), pop_size=32, max_evals=100_000, seed=3, mutation_rate=0.0
+    )
+    assert record.best_found == (2.0,)
+    assert record.optimum_found == (False,)
+    assert record.total_evals < 100_000
+    assert record.trace[-1].evals == record.trace[-2].evals == record.total_evals
+
+
 def test_zero_budget_still_pays_for_initialization():
     record = run_mfltga([unsolvable_task()], pop_size=16, max_evals=0, seed=3)
     assert record.generations == 0

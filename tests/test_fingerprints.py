@@ -82,18 +82,18 @@ CASES = {
 }
 
 GOLDEN_RUNS = {
-    "cluspt-blocks7": "e188806236b30dd7eaa329ffe831b54e7cbab6a57a10d50e9698fec42861016c",
-    "cluspt-euc5": "30f720b5a7359e21e39600ac11e5fd0f2f2db82b41976f5c337711ee45e5c7ac",
-    "cluspt-path4": "6a3d579507ba07277ad5a842d2d5fb0562ac7d2ceb1442b1baf3190d0123b798",
-    "cluspt-rings6": "35314eff3aa265ada471ad1c2a242f8653562c35f565213402d4cebae7a21458",
-    "cluspt-synth300": "1635c2901514e1d4f3476d0e03b6d6f7a88f30b88b0c1e55d401968ca1fc4653",
-    "mutation-0": "01f06e39728b0ee894e6039c81fe92fd43f99515185fae1d4115302d131679e3",
-    "mutation-0.05": "855b8f7617fbd1a94827bb68730b8171dff0eb6b00e64524e80fe51fc992f1ef",
-    "restart-max-p-0": "1294b7109664ebf269ea3a65848b0b00797d30be95853082ee0e881c935d10d8",
-    "trace-every-3": "bcf51c0e4025ade378d47c90c48b8ff0df625a8e740c695532ad8e894c44f249",
-    "trap-mixed-dims": "32ca40341baba827fce37ef67c677e7cf6a8a3cec9a4cd9d2403ee0bec21677e",
-    "trap-mt": "3559bca0a9c870142f4e9ca84d6412e88213e5e36d94d99670d03c9f465971a4",
-    "trap-st": "7e8788cb310df7e52836c38a316b4da893b450a632136257a2e4478a744fd27b",
+    "cluspt-blocks7": "a577ceab027be400ad68366783eaa35a4552407e9d825ce03bb2052c1744166e",
+    "cluspt-euc5": "69e23a3453dbecad654669cc4e09e9b327df629d3d8d8d964e488a3c4f7a9a81",
+    "cluspt-path4": "5d06bef408de6a96510405f0c32c12beb9634f4a8c01ce87c2d75e29fcebc906",
+    "cluspt-rings6": "cf8d38773d799aadc816e7ae3d2dabd1cbe919dc7177b0a3bacaf6a9e19c5229",
+    "cluspt-synth300": "bdd1926d6cffe5ab1c8473e37336ba7c7748f476a857ce0903ce396508b83fee",
+    "mutation-0": "b76bf205b20c1fab13717713c018b25b64d86c81f7392f34ec92da2688df477b",
+    "mutation-0.05": "a3676e2a5bd53dbfe38a3652a4c502b4af4cd45b7c3cbe39ff7101f53515e460",
+    "restart-max-p-0": "12ec42f95e3e7523fa4d004df9e0a5068b28c27548f677de8110888da8184192",
+    "trace-every-3": "24f7ec04db4ea93c852ebd0717da66254e7c11740569839c1b07257ca703a6c7",
+    "trap-mixed-dims": "6b2751c9c9bdfe325226b18cbd97670ad59bc045dc68d56dc2ca6749a7d2bf44",
+    "trap-mt": "c40c27d99d46e2098d8bdb0ba71f935be26be50db6594b9caaedc69f5060ce38",
+    "trap-st": "54d2113230faf402e8e34d5c96765f0d137f37dbbd9d157b3a22afee6e2b1a82",
 }
 
 
@@ -111,14 +111,14 @@ EMISSION_CASES = {
 
 GOLDEN_FILES = {
     "mt": {
-        "summary.csv": "619ef0c4039bd79458168db1eb2a8438499d31cac6da7e71f4c7c307489bc58b",
-        "trace_0.csv": "06f1ba483c183d2d813271afeb1238b98bb793976bcf552667abb9723293486e",
-        "trace_1.csv": "a2b91324384b2ff48d643d69c43b91252ec7fae27aa2ab9cb908c968c3e04409",
+        "summary.csv": "ff43a832996d78d9cbf6812f132ae6aa15eb75d164593e9658b4d51c6bdb9c41",
+        "trace_0.csv": "8cfda3198cd9c781cd2724011e6e9fd2def4b0a7b14a568b0f049e51b407c51c",
+        "trace_1.csv": "41a268bd43967b85541d40c77359c5ddfd190677ddcde3608dbda65353c18b81",
     },
     "st": {
-        "summary.csv": "0832be2756b04f755c2a498c9b36adb231dab2444255f51c0f874e3feace9e3e",
-        "trace_0.csv": "2b42247ba8a9061fd68f6dbf8407600e9820467bf4ad6188ba95111a22efaed7",
-        "trace_1.csv": "0461fefb7ae9a61033ab99b5d253709062616ace1ebca504031933ba6c63ef3c",
+        "summary.csv": "825d9ac435937a89e3b4bbfb31449eec0c230aeaab0f26c5755e9251f6ff2598",
+        "trace_0.csv": "26558d9783dfaafac076fb94fb8f3fb3b9eebfe4af5549c6e0c9d4db0235f588",
+        "trace_1.csv": "8b3b30cca950e3037be53ae783afc2f324bddaf8447ef51f8b23b74fba7a2b17",
     },
 }
 

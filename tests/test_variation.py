@@ -108,6 +108,40 @@ def test_tree_crossover_charges_two_evals_per_mask():
     assert pop.ledger.count - before == 2 * len(masks)
 
 
+def test_tree_crossover_skips_masks_on_which_the_pair_agrees():
+    # swapping a mask the parents agree on changes neither child, so only the
+    # masks meeting the set D of differing genes are evaluated, two calls each
+    tasks = [flat_task(1, dimension=6)]
+    rng = random.Random(5)
+    masks = build_tree([[rng.randrange(2) for _ in range(6)] for _ in range(8)]).crossover_masks()
+    for differ in ({0}, {2, 3}, {1, 4, 5}, set(range(6))):
+        pop = make_pop(tasks, [[0] * 6, [int(g in differ) for g in range(6)]], [1, 1])
+        before = pop.ledger.count
+        tree_crossover(pop.members[0], pop.members[1], masks, 1, 10, ScriptedRandom(), pop.ledger)
+        meeting = sum(not differ.isdisjoint(mask) for mask in masks)
+        assert meeting < len(masks) or differ == set(range(6))
+        assert pop.ledger.count - before == 2 * meeting
+
+
+def test_identical_parents_cost_nothing_until_their_restart():
+    tasks = [sum_task(1)]
+    pop = make_pop(tasks, [[0, 1, 1, 0], [0, 1, 1, 0]], [1, 1])
+    pa, pb = pop.members
+    pa.punish = 3
+    before = pop.ledger.count
+    off_i, off_j = tree_crossover(pa, pb, paired_masks(), 1, 10, ScriptedRandom(), pop.ledger)
+    assert pop.ledger.count == before
+    assert off_i.punish == off_j.punish == 4
+    assert off_i.genotype == off_j.genotype == [0, 1, 1, 0]
+    # past max_p the pair still restarts, and only the two newcomers are evaluated
+    pa.punish = 10
+    rng = ScriptedRandom(randranges=[1, 1, 1, 1, 0, 0, 0, 0])
+    off_i, off_j = tree_crossover(pa, pb, paired_masks(), 1, 10, rng, pop.ledger)
+    assert pop.ledger.count - before == 2
+    assert off_i.punish == off_j.punish == 0
+    assert (list(off_i.genotype), list(off_j.genotype)) == ([1, 1, 1, 1], [0, 0, 0, 0])
+
+
 def test_tree_crossover_evaluates_unevaluated_parents_on_entry():
     tasks = [flat_task(1)]
     ledger = EvalLedger(tasks)

@@ -1,9 +1,11 @@
 """tree_crossover against the reference copy in variation_reference.py.
 
-The in-place swap with undo must leave the same offspring, the same ledger
-and the same RNG state as the former candidate-building traversal, over
-seeded pairs on one to three tasks of mixed dimensions, with kept swaps,
-stagnation and restarts all exercised.
+The in-place swap with undo must leave the same offspring, the same best
+costs and the same RNG state as the former candidate-building traversal,
+over seeded pairs on one to three tasks of mixed dimensions, with kept swaps,
+stagnation and restarts all exercised.  The reference evaluates both children
+of every mask; tree_crossover skips a mask on which the parents agree at
+every gene, so its ledger counts exactly two evaluations fewer per such mask.
 """
 import copy
 import random
@@ -41,8 +43,20 @@ def random_parent(tasks, selected, max_p, rng):
     return Individual(genes, costs, punish=rng.randrange(max_p + 2))
 
 
-def ledger_state(ledger):
-    return ledger.count, ledger.task_counts, ledger.best, ledger.first_success
+def run_ledger(tasks, parents):
+    """Fresh ledger that has seen every cost the parents hold, as a run's ledger has."""
+    ledger = EvalLedger(tasks)
+    for p in parents:
+        for t, cost in zip(tasks, p.factorial_costs):
+            if cost is not None:
+                assert ledger.evaluate(p.genotype, t.task_id) == cost
+    return ledger
+
+
+def agreeing_masks(parents, masks):
+    """Masks on which both parents hold the same value at every gene."""
+    gi, gj = (p.genotype for p in parents)
+    return sum(all(gi[g] == gj[g] for g in mask) for mask in masks)
 
 
 @pytest.mark.parametrize("max_p", [0, 1, 10])
@@ -65,30 +79,43 @@ def test_tree_crossover_matches_the_reference(num_tasks, max_p):
         tree = build_tree(rows)
         seed = rng.random()
 
-        ref_ledger, ref_rng = EvalLedger(tasks), random.Random(seed)
+        ref_ledger, ref_rng = run_ledger(tasks, parents), random.Random(seed)
+        held = ref_ledger.count
         ref = variation_reference.tree_crossover(
             *copy.deepcopy(parents), tree, task, max_p, ref_rng, ref_ledger
         )
-        new_ledger, new_rng = EvalLedger(tasks), random.Random(seed)
+        new_ledger, new_rng = run_ledger(tasks, parents), random.Random(seed)
         pi, pj = copy.deepcopy(parents)
-        new = tree_crossover(pi, pj, tree.crossover_masks(), tid, max_p, new_rng, new_ledger)
+        masks = tree.crossover_masks()
+        new = tree_crossover(pi, pj, masks, tid, max_p, new_rng, new_ledger)
 
         for got, want in zip(new, ref):
             assert got.genotype == want.genotype
             assert got.factorial_costs == want.factorial_costs
             assert got.punish == want.punish
             assert got == want
-        assert ledger_state(new_ledger) == ledger_state(ref_ledger)
+        assert new_ledger.best == ref_ledger.best
         assert new_rng.getstate() == ref_rng.getstate()
         assert [pi, pj] == parents
 
+        skipped = 2 * agreeing_masks(parents, masks)
+        assert new_ledger.count == ref_ledger.count - skipped
+        expected_counts = list(ref_ledger.task_counts)
+        expected_counts[tid - 1] -= skipped
+        assert new_ledger.task_counts == expected_counts
+        assert [hit is None for hit in new_ledger.first_success] == [
+            hit is None for hit in ref_ledger.first_success
+        ]
+        outcomes["skipped masks"] += skipped > 0
+
+        # the reference pays two evaluations per mask, plus two on a restart
         entry = sum(p.factorial_costs[tid - 1] is None for p in parents)
-        swaps = 2 * len(tree.crossover_masks())
-        if new_ledger.count == entry + swaps + 2:
+        if ref_ledger.count - held == entry + 2 * len(masks) + 2:
             outcomes["restart"] += 1
         elif new[0].punish > 0:
             outcomes["stagnation"] += 1
         else:
             outcomes["kept swap"] += 1
     assert outcomes["kept swap"] > 0 and outcomes["restart"] > 0
+    assert outcomes["skipped masks"] > 0
     assert (outcomes["stagnation"] > 0) == (max_p > 0)
