@@ -69,12 +69,13 @@ class RunRecord:
 
 
 def validate_run_parameters(
-    pop_size: int, max_evals: int, max_p: int, mutation_rate: float, trace_every: int
+    pop_size: int, max_evals: int, seed: int, max_p: int, mutation_rate: float, trace_every: int
 ) -> None:
     """Raise ConfigurationError on a run parameter outside its domain."""
     for name, value in (
         ("pop_size", pop_size),
         ("max_evals", max_evals),
+        ("seed", seed),
         ("max_p", max_p),
         ("trace_every", trace_every),
     ):
@@ -83,6 +84,9 @@ def validate_run_parameters(
         raise ConfigurationError("population size must be even and >= 2")
     if max_evals < 0:
         raise ConfigurationError("max_evals must be >= 0")
+    # random.Random(-s) is random.Random(s): a negative seed repeats another run
+    if seed < 0:
+        raise ConfigurationError("seed must be >= 0")
     if max_p < 0:
         raise ConfigurationError("max_p must be >= 0")
     if isinstance(mutation_rate, bool) or not isinstance(mutation_rate, (int, float)):
@@ -109,7 +113,7 @@ def run_mfltga(
     mutation_rate 0, after a generation that evaluated nothing.  Raises
     ConfigurationError on a bad keyword value before any evaluation.
     """
-    validate_run_parameters(pop_size, max_evals, max_p, mutation_rate, trace_every)
+    validate_run_parameters(pop_size, max_evals, seed, max_p, mutation_rate, trace_every)
     rng = random.Random(seed)
     start = time.perf_counter()
     pop = initialize_population(tasks, pop_size, rng)

@@ -62,7 +62,7 @@ class ExperimentConfig:
             )
         if not self.problems:
             raise ConfigurationError("at least one problem descriptor is required")
-        for name in ("num_tasks", "runs", "seed"):
+        for name in ("num_tasks", "runs"):
             require_int(name, getattr(self, name))
         if self.num_tasks < 1:
             raise ConfigurationError("number of tasks must be >= 1")
@@ -74,7 +74,7 @@ class ExperimentConfig:
             raise ConfigurationError("runs must be >= 1")
         if not isinstance(self.out_path, (type(None), str, os.PathLike)):
             raise ConfigurationError(f"out_path must be a path or None, got {self.out_path!r}")
-        validate_run_parameters(**self._run_parameters())
+        validate_run_parameters(seed=self.seed, **self._run_parameters())
         return self
 
     def _run_parameters(self) -> dict:

@@ -2,7 +2,9 @@
 
 These enumerate complete candidate spaces and are deliberately independent of
 the engine-facing evaluators, so tests can cross-check the two routes against
-each other.  Both refuse instances beyond desk scale.
+each other.  Both refuse instances beyond desk scale.  The CluSPT oracle
+shares only cluspt.reachable, the package's one connectivity search, and
+enumerates and costs its trees itself, so it stays independent of decode.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .errors import ConfigurationError
-from .problems.cluspt import ClusteredGraph
+from .problems.cluspt import ClusteredGraph, reachable
 from .problems.trap import TrapSpec
 
 MAX_TRAP_BITS = 22
@@ -99,15 +101,7 @@ def _connects(edges, vertices) -> bool:
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    seen = {vertices[0]}
-    queue = deque([vertices[0]])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == len(vertices)
+    return len(reachable(adj, vertices[0], vertices)) == len(vertices)
 
 
 def exhaustive_cluspt(g: ClusteredGraph) -> OracleResult:

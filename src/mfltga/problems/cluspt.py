@@ -360,15 +360,16 @@ def parse_file(path) -> ClusteredGraph:
 
 
 def _check_connectivity(g: ClusteredGraph) -> None:
-    if _reachable(g.adjacency, 0, range(g.n)) != set(range(g.n)):
+    if reachable(g.adjacency, 0, range(g.n)) != set(range(g.n)):
         raise InstanceFormatError("graph is not connected")
     for ci, cluster in enumerate(g.clusters, start=1):
         inside = set(cluster)
-        if _reachable(g.adjacency, cluster[0], inside) != inside:
+        if reachable(g.adjacency, cluster[0], inside) != inside:
             raise InstanceFormatError(f"induced subgraph of cluster {ci} is not connected")
 
 
-def _reachable(adjacency, start, allowed) -> set:
+def reachable(adjacency, start, allowed) -> set:
+    """start plus every vertex it reaches through adjacency without leaving allowed."""
     allowed = set(allowed)
     seen = {start}
     queue = deque([start])
@@ -520,7 +521,12 @@ def recompute_objective(g: ClusteredGraph, parent) -> float:
 
 
 def validate(g: ClusteredGraph, sol: TreeSolution):
-    """Structural checks; returns a list of violation strings (empty = valid)."""
+    """Structural checks; returns a list of violation strings (empty = valid).
+
+    With one in-graph parent per non-source vertex, the n - 1 parent edges
+    form a tree, every parent chain ending at the source, iff they reach all n
+    vertices; recompute_objective checks the chains by walking them instead.
+    """
     violations = []
     if len(sol.parent) != g.n:
         return [f"parent array length {len(sol.parent)} != {g.n}"]
@@ -537,22 +543,16 @@ def validate(g: ClusteredGraph, sol: TreeSolution):
             violations.append(f"edge {v + 1}-{p + 1} is not in the graph")
     if violations:
         return violations
-    for v in range(g.n):
-        hops = 0
-        x = v
-        while x != g.source:
-            x = sol.parent[x]
-            hops += 1
-            if x is None or hops > g.n:
-                return ["not a tree: a vertex cannot reach the source"]
     tree_adjacency = [[] for _ in range(g.n)]
     for v, p in enumerate(sol.parent):
         if p is not None:
             tree_adjacency[v].append(p)
             tree_adjacency[p].append(v)
+    if len(reachable(tree_adjacency, g.source, range(g.n))) != g.n:
+        return ["not a tree: a vertex cannot reach the source"]
     for ci, cluster in enumerate(g.clusters, start=1):
         inside = set(cluster)
-        if _reachable(tree_adjacency, cluster[0], inside) != inside:
+        if reachable(tree_adjacency, cluster[0], inside) != inside:
             violations.append(f"induced subtree of cluster {ci} is disconnected")
     return violations
 

@@ -203,6 +203,12 @@ def test_dtf_genotype_past_sys_maxsize_exits_with_error(problem, capsys):
     assert err.startswith("error: genotype length 99999999999999999999 ")
 
 
+def test_negative_seed_exits_with_error(capsys):
+    argv = ["run", "--problem", "dtf:k=1,m=2", "--pop", "4", "--runs", "1", "--seed", "-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
+
 def test_bad_instance_file_exits_with_error(tmp_path, capsys):
     bad = tmp_path / "broken.cluspt"
     bad.write_text("DIMENSION: 2\nCLUSTERS: 1\nSOURCE: 1\n")

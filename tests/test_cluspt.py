@@ -335,6 +335,9 @@ def test_validate_flags_cycles_and_foreign_edges():
     assert any("not in the graph" in v for v in cluspt.validate(g, foreign))
     short = cluspt.TreeSolution(parent=[None, 0], dist=[0.0, 1.0], objective=1.0)
     assert cluspt.validate(g, short) != []
+    # every arc is a graph edge, but 2 and 3 point at each other
+    two_cycle = cluspt.TreeSolution(parent=[None, 0, 3, 2], dist=[0.0] * 4, objective=0.0)
+    assert cluspt.validate(g, two_cycle) == ["not a tree: a vertex cannot reach the source"]
 
 
 def test_recompute_objective_rejects_broken_parent_arrays():

@@ -140,6 +140,11 @@ def test_non_finite_objective_aborts_the_run():
         (dict(trace_every="2"), "trace_every must be an int, got '2'"),
         (dict(mutation_rate=True), "mutation_rate must be an int or float, got True"),
         (dict(mutation_rate="0.5"), "mutation_rate must be an int or float, got '0.5'"),
+        (dict(seed=None), "seed must be an int, got None"),
+        (dict(seed="1"), "seed must be an int, got '1'"),
+        (dict(seed=1.5), "seed must be an int, got 1.5"),
+        (dict(seed=True), "seed must be an int, got True"),
+        (dict(seed=-1), "seed must be >= 0"),
     ],
 )
 def test_bad_run_parameters_fail_before_any_evaluation(bad, message):

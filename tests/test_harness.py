@@ -65,6 +65,7 @@ def test_config_validation():
         dict(problems=["dtf:k=3,m=5"], num_tasks=2.0),
         dict(problems=["dtf:k=3,m=5"], seed=1.5),
         dict(problems=["dtf:k=3,m=5"], seed="42"),
+        dict(problems=["dtf:k=3,m=5"], seed=-1),
         dict(problems=["dtf:k=3,m=5"], pop_size=4.0),
         dict(problems=["dtf:k=3,m=5"], max_evals=float("inf")),
         dict(problems=["dtf:k=3,m=5"], max_p=2.5),
@@ -386,3 +387,22 @@ def test_run_experiment_mt_smoke(tmp_path):
     table = read_summary_csv(tmp_path / "summary.csv")
     assert [r.mode for r in table.rows] == ["mt", "mt"]
     assert [r.task for r in table.rows] == [1, 2]
+
+
+def test_st_runs_of_a_replicated_descriptor_are_identical():
+    # each st task runs alone as task 1 on run r's seed, so replicating one
+    # descriptor repeats the same run: reusing one of them would be exact
+    config = ExperimentConfig(
+        problems=["dtf:k=3,m=3"],
+        mode="st",
+        num_tasks=2,
+        pop_size=16,
+        max_evals=3000,
+        runs=2,
+        seed=5,
+    )
+    records = run_experiment(config).st_records
+    assert sorted(records) == [1, 2]
+    for r in range(config.runs):
+        assert records[1][r].to_dict() == records[2][r].to_dict()
+    assert records[1][0].to_dict() != records[1][1].to_dict()
