@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 from .errors import ConfigurationError
 from .linkage import build_all_trees
@@ -98,7 +98,7 @@ def validate_run_parameters(
 
 
 def run_mfltga(
-    tasks: Sequence[TaskDefinition],
+    tasks: Iterable[TaskDefinition],
     *,
     pop_size: int,
     max_evals: int,
@@ -122,7 +122,7 @@ def run_mfltga(
     generation = 0
     while ledger.count < max_evals and not ledger.all_known_solved():
         evals_before = ledger.count
-        masks = build_all_trees(pop, tasks)
+        masks = build_all_trees(pop)
         outcome = assortative_mating(pop, masks, rng, max_p=max_p, mutation_rate=mutation_rate)
         intermediate = Population(outcome.offspring_pop, ledger)
         pop = select_fittest(pop, intermediate, pop_size)
@@ -134,7 +134,7 @@ def run_mfltga(
     if trace[-1].generation != generation:
         trace.append(TracePoint(generation, ledger.count, tuple(ledger.best)))
     return RunRecord(
-        task_ids=tuple(t.task_id for t in tasks),
+        task_ids=tuple(t.task_id for t in pop.tasks),
         best_found=tuple(ledger.best),
         evals_to_success=tuple(ledger.first_success),
         generations=generation,

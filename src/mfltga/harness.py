@@ -18,10 +18,13 @@ Outputs
 ``summary.csv`` with one row per (instance, mode, task), ``trace_<run>.csv``
 convergence tables with per-task best costs and normalized objectives on the
 legs' shared generation axis, and ``config.json`` with the resolved
-configuration and per-run seeds.
+configuration and per-run seeds.  The csv module writes both tables, None
+(an unknown mean or best cost) as an empty field and a float by its repr, so
+``read_summary_csv`` reads back exactly the rows that were written.
 """
 from __future__ import annotations
 
+import bisect
 import csv
 import dataclasses
 import itertools
@@ -31,7 +34,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import RunRecord, run_mfltga, validate_run_parameters
+from .engine import run_mfltga, validate_run_parameters
 from .errors import ConfigurationError
 from .mfo import require_int
 from .problems import cluspt, trap
@@ -234,21 +237,6 @@ def summarize(result: ExperimentResult) -> SummaryTable:
     return SummaryTable(rows=rows)
 
 
-def carried_trace(record: RunRecord) -> list:
-    """The trace point in force at each generation 0..record.generations.
-
-    Generations the trace did not sample carry the last sampled point forward.
-    """
-    points = record.trace
-    carried = []
-    i = 0
-    for gen in range(record.generations + 1):
-        while i + 1 < len(points) and points[i + 1].generation <= gen:
-            i += 1
-        carried.append(points[i])
-    return carried
-
-
 def _normalized(init: float, value: float, bf_star: float) -> float:
     span = init - bf_star
     if span <= 0:
@@ -266,20 +254,22 @@ def serial_trace_rows(legs, stars):
     The legs share one generation axis.  Before a leg starts its tasks' best
     costs are unknown (None) and their normalized objectives sit at 1.0;
     after it ends its values stay frozen.  Evals add up over the legs that
-    have started.
+    have started.  A generation a leg's trace did not sample reads the last
+    point sampled before it; every trace samples generation 0 and its final
+    generation.
     """
     num_tasks = sum(len(positions) for _, positions in legs)
-    carried = [carried_trace(rec) for rec, _ in legs]
+    sampled = [[p.generation for p in rec.trace] for rec, _ in legs]
     offsets = list(itertools.accumulate((rec.generations for rec, _ in legs), initial=0))
     rows = []
     for gen in range(offsets[-1] + 1):
         bests = [None] * num_tasks
         norms = [1.0] * num_tasks
         evals = 0
-        for (rec, positions), points, offset in zip(legs, carried, offsets):
+        for (rec, positions), generations, offset in zip(legs, sampled, offsets):
             if gen < offset:
                 break
-            point = points[min(gen - offset, rec.generations)]
+            point = rec.trace[bisect.bisect_right(generations, gen - offset) - 1]
             evals += point.evals
             for slot, pos in enumerate(positions):
                 bests[pos] = point.best[slot]
@@ -289,24 +279,16 @@ def serial_trace_rows(legs, stars):
 
 
 def summary_csv_rows(table: SummaryTable):
-    """Yield the summary header, then one row per entry, as CSV fields."""
-    yield ["instance", "mode", "task", "runs", "num_opt", "mean_num_evals", "bf", "avg"]
+    """Yield the summary header, then one row of SummaryRow's fields per entry."""
+    yield [field.name for field in dataclasses.fields(SummaryRow)]
     for row in table.rows:
-        yield [
-            row.instance,
-            row.mode,
-            row.task,
-            row.runs,
-            row.num_opt,
-            "" if row.mean_num_evals is None else repr(row.mean_num_evals),
-            repr(row.bf),
-            repr(row.avg),
-        ]
+        yield dataclasses.astuple(row)
 
 
-def write_summary_csv(table: SummaryTable, path) -> None:
+def write_csv(path, rows) -> None:
+    """Write rows to path; csv.writer puts None as an empty field and a float by its repr."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle).writerows(summary_csv_rows(table))
+        csv.writer(handle).writerows(rows)
 
 
 def read_summary_csv(path) -> SummaryTable:
@@ -337,7 +319,7 @@ def write_outputs(result: ExperimentResult) -> None:
     if out is None:
         return
     table = summarize(result)
-    write_summary_csv(table, os.path.join(out, "summary.csv"))
+    write_csv(os.path.join(out, "summary.csv"), summary_csv_rows(table))
     stars = [row.bf for row in table.rows]  # best cost per task over every run
     num_tasks = len(stars)
     header = (
@@ -348,13 +330,7 @@ def write_outputs(result: ExperimentResult) -> None:
     )
     for run_index in range(result.config.runs):
         rows = serial_trace_rows(_legs(result, run_index), stars)
-        with open(
-            os.path.join(out, f"trace_{run_index}.csv"), "w", newline="", encoding="utf-8"
-        ) as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow(row[:2] + ["" if x is None else repr(x) for x in row[2:]])
+        write_csv(os.path.join(out, f"trace_{run_index}.csv"), [header, *rows])
     payload = dataclasses.asdict(result.config)
     payload["out_path"] = os.fspath(out)
     payload["instances"] = list(result.labels)

@@ -12,12 +12,11 @@ running distances maintained with the Lance-Williams update.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidStateError
-from .mfo import Population, TaskDefinition
+from .mfo import Population
 
 
 @dataclass
@@ -210,8 +209,8 @@ def build_tree(rows) -> LinkageTree:
     return LinkageTree(clusters, children, merge_distance)
 
 
-def build_all_trees(pop: Population, tasks: Sequence[TaskDefinition]) -> list:
-    """Each task's crossover masks, task j + 1's at index j.
+def build_all_trees(pop: Population) -> list:
+    """The crossover masks of each task of pop.tasks, task j + 1's at index j.
 
     A task's masks come from one linkage tree fitted on its skill group.  Rows
     are genotypes truncated to the task dimension, read from one array of the
@@ -227,7 +226,7 @@ def build_all_trees(pop: Population, tasks: Sequence[TaskDefinition]) -> list:
     genotypes = np.array([ind.genotype for ind in members])
     skills = np.array([ind.skill_factor or 0 for ind in members])
     masks = []
-    for task in tasks:
+    for task in pop.tasks:
         group = skills == task.task_id
         rows = genotypes[group] if group.any() else genotypes
         masks.append(build_tree(rows[:, : task.dimension]).crossover_masks())

@@ -31,6 +31,14 @@ def test_same_seed_reproduces_the_run_exactly():
     a = run_mfltga(trap_tasks(3, 3), **kwargs)
     b = run_mfltga(trap_tasks(3, 3), **kwargs)
     assert a.to_dict() == b.to_dict()
+    # the run reads its task list once: a tuple, an iterator or a generator
+    # of the same tasks gives the list's run, one task or several
+    for copies in (1, 2):
+        tasks = trap_tasks(3, 3, copies)
+        expected = run_mfltga(tasks, **kwargs).to_dict()
+        assert expected["task_ids"] == list(range(1, copies + 1))
+        for given in (tuple(tasks), iter(tasks), (task for task in tasks)):
+            assert run_mfltga(given, **kwargs).to_dict() == expected
 
 
 def test_different_seeds_diverge():
@@ -222,7 +230,7 @@ def test_known_trap_blocks_at_the_mask_seam_beat_the_learned_tree(monkeypatch):
     for seed in range(10):
         learned = run_mfltga(trap_tasks(k, m, copies=2), seed=seed, **kwargs)
         with monkeypatch.context() as patch:
-            patch.setattr(engine, "build_all_trees", lambda pop, tasks: [blocks for _ in tasks])
+            patch.setattr(engine, "build_all_trees", lambda pop: [blocks for _ in pop.tasks])
             known = run_mfltga(trap_tasks(k, m, copies=2), seed=seed, **kwargs)
         assert learned.optimum_found == known.optimum_found == (True, True)
         assert known.total_evals < learned.total_evals

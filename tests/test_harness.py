@@ -15,14 +15,14 @@ from mfltga.harness import (
     ExperimentResult,
     SummaryRow,
     SummaryTable,
-    carried_trace,
     parse_problem_descriptor,
     read_summary_csv,
     resolve_tasks,
     run_experiment,
     serial_trace_rows,
     summarize,
-    write_summary_csv,
+    summary_csv_rows,
+    write_csv,
 )
 
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
@@ -187,12 +187,23 @@ def test_resolve_tasks_unifies_cluspt_alphabet():
 
 
 def test_carried_trace_carries_forward():
+    # a generation the trace did not sample reads the last point sampled before it
     rec = record([(0, 10, (10.0,)), (1, 30, (6.0,)), (3, 70, (2.0,))])
-    carried = carried_trace(rec)
-    assert [p.best[0] for p in carried] == [10.0, 6.0, 6.0, 2.0]
-    assert [p.evals for p in carried] == [10, 30, 30, 70]
+    rows = one_leg(rec, [2.0])
+    assert [row[2] for row in rows] == [10.0, 6.0, 6.0, 2.0]
+    assert [row[1] for row in rows] == [10, 30, 30, 70]
     # the normalized column carries forward too and ends on the final point
-    assert [row[3] for row in one_leg(rec, [2.0])] == [1.0, 0.5, 0.5, 0.0]
+    assert [row[3] for row in rows] == [1.0, 0.5, 0.5, 0.0]
+    # two sparsely sampled st legs: the handover generation 3 reads leg 1's
+    # final point, and leg 2's unsampled generations carry its points forward
+    first = record([(0, 10, (10.0,)), (2, 30, (6.0,)), (3, 40, (4.0,))])
+    second = record([(0, 10, (20.0,)), (2, 30, (8.0,)), (4, 50, (5.0,))])
+    rows = serial_trace_rows([(first, [0]), (second, [1])], [4.0, 5.0])
+    assert [row[0] for row in rows] == list(range(8))
+    assert [row[2] for row in rows] == [10.0, 10.0, 6.0, 4.0, 4.0, 4.0, 4.0, 4.0]
+    assert [row[3] for row in rows] == [None, None, None, 20.0, 20.0, 8.0, 8.0, 5.0]
+    assert [row[1] for row in rows] == [10, 10, 30, 50, 50, 70, 70, 90]
+    assert [row[4] for row in rows[3:]] == [0.0] * 5
 
 
 def test_normalized_objective_scales_and_clamps():
@@ -295,7 +306,7 @@ def test_summary_csv_round_trip_is_exact(tmp_path):
         SummaryRow("dtf:k=3,m=5", "mt", 2, 10, 0, None, 2.0, math.pi),
     ]
     path = tmp_path / "summary.csv"
-    write_summary_csv(SummaryTable(rows=rows), path)
+    write_csv(path, summary_csv_rows(SummaryTable(rows=rows)))
     back = read_summary_csv(path)
     assert back.rows == rows
 

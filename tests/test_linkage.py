@@ -180,7 +180,7 @@ def test_single_gene_tree_has_no_masks():
 def test_build_all_trees_uses_skill_groups_and_truncates():
     tasks = [sum_task(1, 6), sum_task(2, 3)]
     pop = initialize_population(tasks, 12, random.Random(4))
-    masks = build_all_trees(pop, tasks)
+    masks = build_all_trees(pop)
     assert len(masks) == 2
     # entry j holds task j + 1's masks, from a tree fitted on its skill group
     for task, task_masks in zip(tasks, masks):
@@ -200,7 +200,7 @@ def test_build_all_trees_falls_back_to_whole_population():
     pop = initialize_population(tasks, 8, random.Random(5))
     for ind in pop.members:
         ind.skill_factor = 1
-    masks = build_all_trees(pop, tasks)
+    masks = build_all_trees(pop)
     # task 2 has no skill group left, yet it still gets a full-size tree
     whole = build_tree([list(ind.genotype) for ind in pop.members])
     tree_is_well_formed(whole, 4)
@@ -213,10 +213,10 @@ def test_build_all_trees_rejects_ragged_or_empty_populations():
     pop = initialize_population(tasks, 8, random.Random(6))
     pop.members[3].genotype.append(0)
     with pytest.raises(InvalidStateError, match="one length"):
-        build_all_trees(pop, tasks)
+        build_all_trees(pop)
     pop.members.clear()
     with pytest.raises(InvalidStateError, match="empty population"):
-        build_all_trees(pop, tasks)
+        build_all_trees(pop)
 
 
 def test_build_tree_matches_scipy_average_linkage():

@@ -239,7 +239,7 @@ def test_mutate_validates_rate():
 def test_mating_equal_skill_pair_keeps_task_and_backup_stays_empty():
     tasks = [sum_task(1), sum_task(2)]
     pop = make_pop(tasks, [[1, 1, 0, 0], [0, 0, 1, 1]], [2, 2])
-    masks = build_all_trees(pop, tasks)
+    masks = build_all_trees(pop)
     outcome = assortative_mating(pop, masks, ScriptedRandom(), max_p=10, mutation_rate=0.0)
     assert isinstance(outcome, MatingOutcome)
     assert outcome.backup_pop == []
@@ -253,7 +253,7 @@ def test_mating_mixed_pair_flips_a_coin_and_backs_up_the_loser():
     genotypes = [[1, 1, 0, 0], [0, 0, 1, 1]]
     # coin below 0.5: first parent's task wins, second parent is backed up
     pop = make_pop(tasks, genotypes, [1, 2])
-    masks = build_all_trees(pop, tasks)
+    masks = build_all_trees(pop)
     outcome = assortative_mating(
         pop, masks, ScriptedRandom(randoms=[0.3]), max_p=10, mutation_rate=0.0
     )
@@ -262,7 +262,7 @@ def test_mating_mixed_pair_flips_a_coin_and_backs_up_the_loser():
     assert outcome.backup_pop[0] is pop.members[1]
     # coin at or above 0.5: the second parent's task wins instead
     pop = make_pop(tasks, genotypes, [1, 2])
-    masks = build_all_trees(pop, tasks)
+    masks = build_all_trees(pop)
     outcome = assortative_mating(
         pop, masks, ScriptedRandom(randoms=[0.7]), max_p=10, mutation_rate=0.0
     )
@@ -277,7 +277,7 @@ def test_mating_offspring_hold_a_cost_for_their_task():
         [[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]],
         [1, 1, 2, 2],
     )
-    masks = build_all_trees(pop, tasks)
+    masks = build_all_trees(pop)
     outcome = assortative_mating(pop, masks, random.Random(21), max_p=10, mutation_rate=0.0)
     assert len(outcome.offspring_pop) == 2
     # replay the pairing; a mixed pair's selected task is the one whose
@@ -300,7 +300,7 @@ def test_mating_best_of_pair_prefers_lower_cost_then_first():
     # constant objective: both offspring tie, the first of the pair survives
     tasks = [flat_task(1)]
     pop = make_pop(tasks, [[0, 1, 0, 1], [1, 0, 1, 0]], [1, 1])
-    masks = build_all_trees(pop, tasks)
+    masks = build_all_trees(pop)
     outcome = assortative_mating(pop, masks, ScriptedRandom(), max_p=10, mutation_rate=0.0)
     assert len(outcome.offspring_pop) == 1
     assert outcome.offspring_pop[0].genotype == [0, 1, 0, 1]
@@ -309,7 +309,7 @@ def test_mating_best_of_pair_prefers_lower_cost_then_first():
 def test_mating_with_mutation_reevaluates_changed_offspring():
     tasks = [sum_task(1)]
     pop = make_pop(tasks, [[1, 1, 0, 0], [0, 0, 1, 1]], [1, 1])
-    masks = build_all_trees(pop, tasks)
+    masks = build_all_trees(pop)
     outcome = assortative_mating(pop, masks, random.Random(8), max_p=10, mutation_rate=1.0)
     for off in outcome.offspring_pop:
         assert off.factorial_costs[0] is not None
@@ -319,7 +319,7 @@ def test_mating_with_mutation_reevaluates_changed_offspring():
 def test_mating_rejects_odd_populations():
     tasks = [sum_task(1)]
     pop = make_pop(tasks, [[0, 0, 0, 0]], [1])
-    masks = build_all_trees(pop, tasks)
+    masks = build_all_trees(pop)
     with pytest.raises(InvalidStateError):
         assortative_mating(pop, masks, ScriptedRandom(), max_p=10, mutation_rate=0.0)
 
@@ -327,6 +327,6 @@ def test_mating_rejects_odd_populations():
 def test_mating_requires_a_tree_for_the_selected_task():
     tasks = [sum_task(1), sum_task(2)]
     pop = make_pop(tasks, [[1, 1, 0, 0], [0, 0, 1, 1]], [2, 2])
-    masks = build_all_trees(pop, [tasks[0]])
+    masks = build_all_trees(pop)[:1]
     with pytest.raises(InvalidStateError, match="one mask list per task, got 1 for 2 tasks"):
         assortative_mating(pop, masks, ScriptedRandom(), max_p=10, mutation_rate=0.0)
