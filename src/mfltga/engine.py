@@ -14,13 +14,13 @@ converged population would otherwise loop without spending its budget.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ConfigurationError
 from .linkage import build_all_trees
 from .mfo import (
+    SUCCESS_TOLERANCE,
     Population,
     TaskDefinition,
     initialize_population,
@@ -41,7 +41,7 @@ class TracePoint:
 
 @dataclass
 class RunRecord:
-    """Outcome of one run; wall_time is diagnostic and not part of run identity."""
+    """Outcome of one run, and nothing but its identity: equal records mean equal runs."""
 
     task_ids: tuple
     best_found: tuple
@@ -49,7 +49,6 @@ class RunRecord:
     generations: int
     total_evals: int
     trace: list
-    wall_time: float
 
     @property
     def optimum_found(self) -> tuple:
@@ -109,13 +108,12 @@ def run_mfltga(
 ) -> RunRecord:
     """Run the full loop on the given tasks with a dedicated seeded RNG.
 
-    The run ends at the budget, when every known optimum is reached, or, with
-    mutation_rate 0, after a generation that evaluated nothing.  Raises
-    ConfigurationError on a bad keyword value before any evaluation.
+    Raises ConfigurationError on a bad keyword value before any evaluation,
+    and after the loop on a best cost below a task's declared optimum by more
+    than SUCCESS_TOLERANCE: such an optimum is wrong, its successes unfounded.
     """
     validate_run_parameters(pop_size, max_evals, seed, max_p, mutation_rate, trace_every)
     rng = random.Random(seed)
-    start = time.perf_counter()
     pop = initialize_population(tasks, pop_size, rng)
     ledger = pop.ledger
     trace = [TracePoint(0, ledger.count, tuple(ledger.best))]
@@ -133,6 +131,10 @@ def run_mfltga(
             break
     if trace[-1].generation != generation:
         trace.append(TracePoint(generation, ledger.count, tuple(ledger.best)))
+    for task, best in zip(pop.tasks, ledger.best):
+        if task.known_optimum is not None and best < task.known_optimum - SUCCESS_TOLERANCE:
+            raise ConfigurationError(f"task {task.task_id}: cost {best} beats the declared "
+                                     f"optimum {task.known_optimum}")
     return RunRecord(
         task_ids=tuple(t.task_id for t in pop.tasks),
         best_found=tuple(ledger.best),
@@ -140,5 +142,4 @@ def run_mfltga(
         generations=generation,
         total_evals=ledger.count,
         trace=trace,
-        wall_time=time.perf_counter() - start,
     )

@@ -214,8 +214,8 @@ def build_all_trees(pop: Population) -> list:
 
     A task's masks come from one linkage tree fitted on its skill group.  Rows
     are genotypes truncated to the task dimension, read from one array of the
-    whole population.  A task whose skill group is empty falls back to the
-    whole population so a tree always exists.
+    whole population.  A task whose skill group is empty gets no masks: mating
+    selects one of a pair's own skill factors, so nothing would read them.
     """
     members = pop.members
     if not members:
@@ -224,10 +224,9 @@ def build_all_trees(pop: Population) -> list:
     if any(len(ind.genotype) != width for ind in members):
         raise InvalidStateError("genotypes must all have one length")
     genotypes = np.array([ind.genotype for ind in members])
-    skills = np.array([ind.skill_factor or 0 for ind in members])
+    skills = np.array([ind.skill_factor for ind in members])
     masks = []
     for task in pop.tasks:
-        group = skills == task.task_id
-        rows = genotypes[group] if group.any() else genotypes
-        masks.append(build_tree(rows[:, : task.dimension]).crossover_masks())
+        rows = genotypes[skills == task.task_id, : task.dimension]
+        masks.append(build_tree(rows).crossover_masks() if len(rows) else [])
     return masks

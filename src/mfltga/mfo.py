@@ -100,6 +100,9 @@ class Individual:
 
 _COST_TYPES = (int, float)
 
+# a cost within this of a task's declared optimum reaches that optimum
+SUCCESS_TOLERANCE = 1e-9
+
 
 def _real_cost(cost, task_id: int) -> float:
     """An objective's cost other than an int or float, as a float.
@@ -149,11 +152,11 @@ class EvalLedger:
         self.count += 1
         self.task_counts[idx] += 1
         # best falls only on a strict improvement, so an earlier cost within
-        # 1e-9 of the optimum has already set first_success
+        # SUCCESS_TOLERANCE of the optimum has already set first_success
         if cost < self.best[idx]:
             self.best[idx] = cost
             opt = task.known_optimum
-            if opt is not None and self.first_success[idx] is None and cost <= opt + 1e-9:
+            if opt is not None and self.first_success[idx] is None and cost <= opt + SUCCESS_TOLERANCE:
                 self.first_success[idx] = self.task_counts[idx]
         return cost
 

@@ -102,6 +102,19 @@ def test_run_counts_cluspt_successes_against_a_declared_optimum(capsys):
     assert float(row[6]) == 22.0
 
 
+def test_run_that_beats_a_declared_optimum_exits_with_error(tmp_path, capsys):
+    # 22 is the rings6 optimum: a declared 30 would count each run's first
+    # evaluation as a success, so the campaign fails and writes no summary
+    problem = f"cluspt:{INSTANCES / 'rings6.cluspt'},opt=30"
+    argv = ["run", "--problem", problem, "--tasks", "1", "--pop", "8", "--max-evals", "2000"]
+    out_dir = tmp_path / "out"
+    assert main(argv + ["--runs", "3", "--out", str(out_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: task 1: cost 22.0 beats the declared optimum 30.0\n"
+    assert not (out_dir / "summary.csv").exists()
+
+
 def test_out_path_that_is_a_file_exits_with_error(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")

@@ -30,7 +30,7 @@ def test_same_seed_reproduces_the_run_exactly():
     kwargs = dict(pop_size=32, max_evals=50_000, seed=123)
     a = run_mfltga(trap_tasks(3, 3), **kwargs)
     b = run_mfltga(trap_tasks(3, 3), **kwargs)
-    assert a.to_dict() == b.to_dict()
+    assert a == b
     # the run reads its task list once: a tuple, an iterator or a generator
     # of the same tasks gives the list's run, one task or several
     for copies in (1, 2):
@@ -47,10 +47,30 @@ def test_different_seeds_diverge():
     assert a.to_dict() != b.to_dict()
 
 
-def test_wall_time_is_diagnostic_only():
-    record = run_mfltga(trap_tasks(3, 2), pop_size=16, max_evals=20_000, seed=5)
-    assert record.wall_time > 0.0
-    assert "wall_time" not in record.to_dict()
+def test_equal_arguments_give_equal_records():
+    # a record holds the run's identity and nothing else, so == is the
+    # reproducibility check
+    kwargs = dict(pop_size=16, max_evals=20_000, seed=5)
+    record = run_mfltga(trap_tasks(3, 2), **kwargs)
+    assert record == run_mfltga(trap_tasks(3, 2), **kwargs)
+    fields = {field.name for field in dataclasses.fields(record)}
+    assert fields | {"optimum_found"} == set(record.to_dict())
+
+
+def test_a_best_cost_below_the_declared_optimum_is_an_error():
+    # initialization alone reaches a trap cost below 1000, so a declared 1000
+    # would count the first evaluation as a success and end the run there
+    right, wrong = trap_tasks(3, 2, copies=2)
+    wrong = dataclasses.replace(wrong, known_optimum=1000.0)
+    message = r"^task 2: cost \S+ beats the declared optimum 1000.0$"
+    with pytest.raises(ConfigurationError, match=message):
+        run_mfltga([right, wrong], pop_size=16, max_evals=20_000, seed=5)
+    # a best cost within the success tolerance of the optimum reaches it
+    flat = dataclasses.replace(
+        unsolvable_task(), objective=lambda genes: 1.0, known_optimum=1.0 + 5e-10
+    )
+    record = run_mfltga([flat], pop_size=4, max_evals=100, seed=5)
+    assert record.evals_to_success == (1,)
 
 
 def test_small_trap_is_solved_well_under_budget():

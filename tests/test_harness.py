@@ -37,7 +37,6 @@ def record(points, task_ids=(1,), evals_to_success=(None,)):
         generations=trace[-1].generation,
         total_evals=trace[-1].evals,
         trace=trace,
-        wall_time=0.0,
     )
 
 
@@ -415,5 +414,5 @@ def test_st_runs_of_a_replicated_descriptor_are_identical():
     records = run_experiment(config).st_records
     assert sorted(records) == [1, 2]
     for r in range(config.runs):
-        assert records[1][r].to_dict() == records[2][r].to_dict()
+        assert records[1][r] == records[2][r]
     assert records[1][0].to_dict() != records[1][1].to_dict()

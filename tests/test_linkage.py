@@ -195,17 +195,19 @@ def test_build_all_trees_uses_skill_groups_and_truncates():
         assert set().union(*task_masks) == set(range(task.dimension))
 
 
-def test_build_all_trees_falls_back_to_whole_population():
+def test_build_all_trees_gives_no_masks_to_a_task_no_member_holds():
     tasks = [sum_task(1, 4), sum_task(2, 4)]
     pop = initialize_population(tasks, 8, random.Random(5))
     for ind in pop.members:
         ind.skill_factor = 1
     masks = build_all_trees(pop)
-    # task 2 has no skill group left, yet it still gets a full-size tree
+    # every member holds task 1, so its tree is the whole population's; task
+    # 2 has no skill group, and no pair can select it, so it gets no masks
     whole = build_tree([list(ind.genotype) for ind in pop.members])
     tree_is_well_formed(whole, 4)
-    assert masks[1] == whole.crossover_masks()
-    assert len(masks[1]) == 2 * 4 - 2
+    assert masks[0] == whole.crossover_masks()
+    assert len(masks[0]) == 2 * 4 - 2
+    assert masks[1] == []
 
 
 def test_build_all_trees_rejects_ragged_or_empty_populations():
