@@ -54,13 +54,16 @@ MEMO_SIZE = 128
 
 @dataclass
 class ClusteredGraph:
-    """Parsed instance with 0-based vertices."""
+    """Instance with 0-based vertices; building one checks it and each cluster are connected."""
 
     name: str
     n: int
     adjacency: dict  # adjacency[u][v] = weight, symmetric
     clusters: list  # list of sorted vertex tuples, file order
     source: int
+
+    def __post_init__(self):
+        _check_connectivity(self)
 
     @property
     def num_clusters(self) -> int:
@@ -168,22 +171,19 @@ _SECTION_KEYS = ("NODE_COORD_SECTION", "EDGE_SECTION", "CLUSTER_SECTION")
 
 
 def parse_instance(text: str) -> ClusteredGraph:
-    """Parse instance text, raising InstanceFormatError with line numbers."""
+    """Parse instance text up to EOF, raising InstanceFormatError with line numbers."""
     header = {}
     data = {key: [] for key in _SECTION_KEYS}
     section = None
-    ended = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or ended:
+        if not line:
             continue
         if line.upper() == "EOF":
-            ended = True
-            continue
-        upper = line.split(":")[0].strip().upper()
-        if upper in _HEADER_KEYS and ":" in line:
-            key, _, value = line.partition(":")
-            key = key.strip().upper()
+            break
+        key, colon, value = line.partition(":")
+        key = key.strip().upper()
+        if key in _HEADER_KEYS and colon:
             if key in header:
                 raise InstanceFormatError(f"duplicate header {key}", lineno)
             header[key] = (value.strip(), lineno)
@@ -296,8 +296,6 @@ def parse_instance(text: str) -> ClusteredGraph:
             ui, vi = u - 1, v - 1
             if vi in adjacency[ui]:
                 raise InstanceFormatError(f"duplicate edge {u}-{v}", lineno)
-            if w == int(w):
-                w = int(w)
             adjacency[ui][vi] = w
             adjacency[vi][ui] = w
 
@@ -336,15 +334,13 @@ def parse_instance(text: str) -> ClusteredGraph:
         )
     clusters = [clusters_by_id[cid] for cid in range(1, num_clusters + 1)]
 
-    graph = ClusteredGraph(
+    return ClusteredGraph(
         name=name,
         n=n,
         adjacency=adjacency,
         clusters=clusters,
         source=source - 1,
     )
-    _check_connectivity(graph)
-    return graph
 
 
 def parse_file(path) -> ClusteredGraph:
@@ -432,7 +428,8 @@ def decode(g: ClusteredGraph, genotype) -> TreeSolution:
     A grown tree depends only on its key, the priorities it reads (a
     cluster's own vertices, or every cluster's lowest-id vertex), so the
     trees of recent keys are kept in ``g.memo`` and regrown only on a miss.
-    A disconnected subgraph is never kept and raises on every call.
+    The graph and each of its clusters are connected (``ClusteredGraph``
+    checks this when built), so every grown tree spans what it grows.
 
     A cluster's entry is its tree rooted at its seed.  The cluster-level
     entry is the tree of clusters grown from the source's, which maps each
@@ -458,8 +455,6 @@ def decode(g: ClusteredGraph, genotype) -> TreeSolution:
         if tree is None:
             seed = min(cluster, key=lambda v: (-prio[v], v))
             tree = _grow(seed, prio, g.intra_links)
-            if len(tree) != len(cluster):
-                raise InvalidStateError("cluster subgraph is not connected")
             _remember(memo, key, tree)
         trees.append(tree)
     lead_prio = g.lead_key(prio)
@@ -467,8 +462,6 @@ def decode(g: ClusteredGraph, genotype) -> TreeSolution:
     tops = memo.get(lead_prio)
     if tops is None:
         tops = _grow(g.owner[g.source], lead_prio, g.cluster_links)
-        if len(tops) != g.num_clusters:
-            raise InvalidStateError("cluster-level graph is not connected")
         _remember(memo, lead_prio, tops)
 
     parent = [None] * g.n

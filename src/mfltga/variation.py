@@ -64,7 +64,7 @@ def tree_crossover(
     """
     idx = tid - 1
     off_i, off_j = (
-        Individual(p.genotype.copy(), p.factorial_costs.copy(), punish=p.punish)
+        Individual(p.genotype.copy(), p.factorial_costs.copy())
         for p in (parent_i, parent_j)
     )
     cost_i, cost_j = task_cost(off_i, tid, ledger), task_cost(off_j, tid, ledger)

@@ -53,7 +53,15 @@ def test_parse_explicit_fixture():
     assert sorted(g.edges()) == [(0, 1, 1), (1, 2, 1), (2, 3, 1)]
 
 
-@pytest.mark.parametrize("eof", ["eof", "Eof"])
+@pytest.mark.parametrize(
+    "eof",
+    [
+        "eof",
+        "Eof",
+        # reading stops at EOF: nothing after it is parsed
+        pytest.param("EOF\njunk here\nCLUSTERS: 9\nEDGE_SECTION\n1 4 1", id="lines-after-eof"),
+    ],
+)
 def test_parse_matches_eof_in_any_case(eof):
     text = (INSTANCES / "path4.cluspt").read_text()
     assert text.rstrip().endswith("\nEOF")
@@ -211,6 +219,24 @@ def test_parse_rejects_disconnected_graph():
     text = build(edges=["1 2 1", "3 4 1"])
     with pytest.raises(InstanceFormatError, match="not connected"):
         cluspt.parse_instance(text)
+
+
+@pytest.mark.parametrize(
+    "edges, clusters, message",
+    [
+        # path 0-1-2 with cluster {0, 2} joined only through vertex 1
+        ({(0, 1), (1, 2)}, [(0, 2), (1,)], "induced subgraph of cluster 1 is not connected"),
+        # no edge between the two clusters
+        ({(0, 1)}, [(0, 1), (2,)], "graph is not connected"),
+    ],
+    ids=["cluster", "graph"],
+)
+def test_a_disconnected_graph_fails_when_built(edges, clusters, message):
+    adjacency = {v: {} for v in range(3)}
+    for u, v in edges:
+        adjacency[u][v] = adjacency[v][u] = 1
+    with pytest.raises(InstanceFormatError, match=f"^{message}$"):
+        cluspt.ClusteredGraph(name="d", n=3, adjacency=adjacency, clusters=clusters, source=0)
 
 
 def test_parse_file_rejects_non_utf8_content(tmp_path):

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 import cluspt_reference
-from mfltga.errors import InvalidStateError
 from mfltga.problems import cluspt
 
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
@@ -287,27 +286,3 @@ def test_moved_entry_vertex_reroots_the_memoized_cluster(monkeypatch, label):
     # cluster d hangs from a new entry vertex, re-rooted from its memo entry
     assert entry_vertices(g, got.parent)[d] != entry_vertices(g, first.parent)[d]
     assert g.memo[d][g.cluster_keys[d](y)] is tree
-
-
-@pytest.mark.parametrize(
-    "edges, clusters, message",
-    [
-        # path 0-1-2 with cluster {0, 2} joined only through vertex 1
-        ({(0, 1), (1, 2)}, [(0, 2), (1,)], "cluster subgraph"),
-        # no edge between the two clusters
-        ({(0, 1)}, [(0, 1), (2,)], "cluster-level graph"),
-    ],
-)
-def test_decode_rejects_disconnected_graphs_like_reference(edges, clusters, message):
-    adjacency = {v: {} for v in range(3)}
-    for u, v in edges:
-        adjacency[u][v] = adjacency[v][u] = 1
-    g = cluspt.ClusteredGraph(name="d", n=3, adjacency=adjacency, clusters=clusters, source=0)
-    for decode in (cluspt.decode, cluspt_reference.decode):
-        with pytest.raises(InvalidStateError, match=message):
-            decode(g, [0, 1, 2])
-    # a failed growth is never kept: the same call raises again
-    for _ in range(2):
-        with pytest.raises(InvalidStateError, match=message):
-            cluspt.decode(g, [0, 1, 2])
-    assert not g.memo[-1]

@@ -26,8 +26,11 @@ def trap_tasks(*shapes):
     return [trap.make_task(trap.TrapSpec(k, m), task_id=t) for t, (k, m) in enumerate(shapes, 1)]
 
 
-def cluspt_tasks(name):
-    return [cluspt.make_task(cluspt.parse_file(INSTANCES / f"{name}.cluspt"))]
+def cluspt_tasks(*names):
+    return [
+        cluspt.make_task(cluspt.parse_file(INSTANCES / f"{name}.cluspt"), task_id=t)
+        for t, name in enumerate(names, 1)
+    ]
 
 
 def synthetic_cluspt_tasks(n, num_clusters, seed):
@@ -66,6 +69,11 @@ CASES = {
     "cluspt-euc5": (lambda: cluspt_tasks("euc5"), dict(pop_size=8, max_evals=600, seed=22)),
     "cluspt-rings6": (lambda: cluspt_tasks("rings6"), dict(pop_size=8, max_evals=600, seed=23)),
     "cluspt-blocks7": (lambda: cluspt_tasks("blocks7"), dict(pop_size=8, max_evals=600, seed=24)),
+    # two graphs share one genotype, each task decoding its own slice
+    "cluspt-mt": (
+        lambda: cluspt_tasks("rings6", "blocks7"),
+        dict(pop_size=8, max_evals=1000, seed=26),
+    ),
     # 300 vertices give a 300-letter alphabet: list genotypes with genes above 255
     "cluspt-synth300": (
         lambda: synthetic_cluspt_tasks(300, 10, seed=1),
@@ -84,6 +92,7 @@ CASES = {
 GOLDEN_RUNS = {
     "cluspt-blocks7": "a577ceab027be400ad68366783eaa35a4552407e9d825ce03bb2052c1744166e",
     "cluspt-euc5": "69e23a3453dbecad654669cc4e09e9b327df629d3d8d8d964e488a3c4f7a9a81",
+    "cluspt-mt": "9a09f26ed2bb804f4481c787be65ca59a91b0b6c141536ad0a7a12c300996b3e",
     "cluspt-path4": "5d06bef408de6a96510405f0c32c12beb9634f4a8c01ce87c2d75e29fcebc906",
     "cluspt-rings6": "cf8d38773d799aadc816e7ae3d2dabd1cbe919dc7177b0a3bacaf6a9e19c5229",
     "cluspt-synth300": "bdd1926d6cffe5ab1c8473e37336ba7c7748f476a857ce0903ce396508b83fee",
