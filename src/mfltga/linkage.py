@@ -186,7 +186,6 @@ def build_tree(rows) -> LinkageTree:
     clusters = [(g,) for g in range(n_genes)]
     children = [None] * n_genes
     merge_distance = [None] * n_genes
-    sizes = [1] * n_genes
 
     dist = np.full((total, total), np.inf)
     dist[:n_genes, :n_genes] = base
@@ -196,8 +195,7 @@ def build_tree(rows) -> LinkageTree:
         clusters.append(tuple(sorted(clusters[id_i] + clusters[id_j])))
         children.append((id_i, id_j))
         merge_distance.append(float(dist[id_i, id_j]))
-        si, sj = sizes[id_i], sizes[id_j]
-        sizes.append(si + sj)
+        si, sj = len(clusters[id_i]), len(clusters[id_j])
         # inf entries (merged, not yet created, the pair itself) stay inf, as
         # si, sj >= 1
         updated = (si * dist[id_i] + sj * dist[id_j]) / (si + sj)

@@ -54,7 +54,12 @@ MEMO_SIZE = 128
 
 @dataclass
 class ClusteredGraph:
-    """Instance with 0-based vertices; building one checks it and each cluster are connected."""
+    """Instance with 0-based vertices, checked when built.
+
+    Non-empty clusters partition the vertices, the source is one, and the graph
+    and each cluster are connected; else InstanceFormatError names the vertex
+    or cluster (1-based).  owner[v] is the index of the cluster holding v.
+    """
 
     name: str
     n: int
@@ -63,7 +68,30 @@ class ClusteredGraph:
     source: int
 
     def __post_init__(self):
-        _check_connectivity(self)
+        owner = [None] * self.n
+        for ci, cluster in enumerate(self.clusters):
+            if not cluster:
+                raise InstanceFormatError(f"cluster {ci + 1} is empty")
+            for v in cluster:
+                if not 0 <= v < self.n:
+                    raise InstanceFormatError(f"vertex {v + 1} outside 1..{self.n}")
+                if owner[v] is not None:
+                    raise InstanceFormatError(
+                        f"vertex {v + 1} already belongs to cluster {owner[v] + 1}"
+                    )
+                owner[v] = ci
+        left = owner.count(None)
+        if left:
+            missing = (v + 1 for v in range(self.n) if owner[v] is None)
+            raise InstanceFormatError(f"vertices {_listed(missing, left)} belong to no cluster")
+        if not 0 <= self.source < self.n:
+            raise InstanceFormatError(f"SOURCE {self.source + 1} outside 1..{self.n}")
+        self.owner = tuple(owner)
+        if len(reachable(self.adjacency, self.source, range(self.n))) != self.n:
+            raise InstanceFormatError("graph is not connected")
+        split = _split_clusters(self.adjacency, self.clusters)
+        if split:
+            raise InstanceFormatError(f"induced subgraph of cluster {split[0]} is not connected")
 
     @property
     def num_clusters(self) -> int:
@@ -71,15 +99,6 @@ class ClusteredGraph:
 
     # The tables below depend on the graph alone, so each is built on first
     # use and kept; the graph is not to be modified after that.
-
-    @cached_property
-    def owner(self) -> tuple:
-        """owner[v] is the index of the cluster holding vertex v."""
-        owner = [None] * self.n
-        for ci, cluster in enumerate(self.clusters):
-            for v in cluster:
-                owner[v] = ci
-        return tuple(owner)
 
     @cached_property
     def intra_links(self) -> tuple:
@@ -171,7 +190,7 @@ _SECTION_KEYS = ("NODE_COORD_SECTION", "EDGE_SECTION", "CLUSTER_SECTION")
 
 
 def parse_instance(text: str) -> ClusteredGraph:
-    """Parse instance text up to EOF, raising InstanceFormatError with line numbers."""
+    """Parse instance text up to EOF; errors name the line, or the graph's vertex or cluster."""
     header = {}
     data = {key: [] for key in _SECTION_KEYS}
     section = None
@@ -216,9 +235,7 @@ def parse_instance(text: str) -> ClusteredGraph:
     num_clusters, k_line = int_header("CLUSTERS")
     if num_clusters < 1:
         raise InstanceFormatError("CLUSTERS must be >= 1", k_line)
-    source, src_line = int_header("SOURCE")
-    if not 1 <= source <= n:
-        raise InstanceFormatError(f"SOURCE {source} outside 1..{n}", src_line)
+    source = int_header("SOURCE")[0]
     weight_type, wt_line = require("EDGE_WEIGHT_TYPE")
     weight_type = weight_type.upper()
     if weight_type not in ("EUC_2D", "EXPLICIT"):
@@ -230,8 +247,6 @@ def parse_instance(text: str) -> ClusteredGraph:
         raise InstanceFormatError(f"{unread} line {line!r} in an {weight_type} instance", lineno)
 
     if weight_type == "EUC_2D":
-        if not coord_lines:
-            raise InstanceFormatError("EUC_2D instance without NODE_COORD_SECTION")
         given = {}
         for lineno, line in coord_lines:
             parts = line.split()
@@ -269,8 +284,6 @@ def parse_instance(text: str) -> ClusteredGraph:
         except OverflowError:
             raise InstanceFormatError(f"distance between vertices {u + 1} and {v + 1} overflows")
     else:
-        if not edge_lines:
-            raise InstanceFormatError("EXPLICIT instance without EDGE_SECTION")
         if len(edge_lines) < n - 1:
             raise InstanceFormatError(
                 f"graph is not connected: {len(edge_lines)} edges cannot join {n} vertices"
@@ -303,7 +316,6 @@ def parse_instance(text: str) -> ClusteredGraph:
         raise InstanceFormatError(
             f"CLUSTER_SECTION holds {len(cluster_lines)} lines, expected {num_clusters}"
         )
-    assigned = {}
     clusters_by_id = {}
     for lineno, line in cluster_lines:
         parts = line.split()
@@ -318,20 +330,7 @@ def parse_instance(text: str) -> ClusteredGraph:
             raise InstanceFormatError(f"cluster id {cid} outside 1..{num_clusters}", lineno)
         if cid in clusters_by_id:
             raise InstanceFormatError(f"duplicate cluster id {cid}", lineno)
-        for v in members:
-            if not 1 <= v <= n:
-                raise InstanceFormatError(f"vertex {v} outside 1..{n}", lineno)
-            if v in assigned:
-                raise InstanceFormatError(
-                    f"vertex {v} already belongs to cluster {assigned[v]}", lineno
-                )
-            assigned[v] = cid
         clusters_by_id[cid] = tuple(sorted(v - 1 for v in members))
-    if len(assigned) < n:
-        unassigned = (v for v in range(1, n + 1) if v not in assigned)
-        raise InstanceFormatError(
-            f"vertices {_listed(unassigned, n - len(assigned))} belong to no cluster"
-        )
     clusters = [clusters_by_id[cid] for cid in range(1, num_clusters + 1)]
 
     return ClusteredGraph(
@@ -355,15 +354,6 @@ def parse_file(path) -> ClusteredGraph:
     return parse_instance(text)
 
 
-def _check_connectivity(g: ClusteredGraph) -> None:
-    if reachable(g.adjacency, 0, range(g.n)) != set(range(g.n)):
-        raise InstanceFormatError("graph is not connected")
-    for ci, cluster in enumerate(g.clusters, start=1):
-        inside = set(cluster)
-        if reachable(g.adjacency, cluster[0], inside) != inside:
-            raise InstanceFormatError(f"induced subgraph of cluster {ci} is not connected")
-
-
 def reachable(adjacency, start, allowed) -> set:
     """start plus every vertex it reaches through adjacency without leaving allowed."""
     allowed = set(allowed)
@@ -376,6 +366,11 @@ def reachable(adjacency, start, allowed) -> set:
                 seen.add(v)
                 queue.append(v)
     return seen
+
+
+def _split_clusters(adjacency, clusters) -> list:
+    """The 1-based ids of the clusters whose vertices adjacency does not join inside them."""
+    return [ci for ci, c in enumerate(clusters, 1) if len(reachable(adjacency, c[0], c)) != len(c)]
 
 
 def _grow(root, prio, links):
@@ -428,8 +423,8 @@ def decode(g: ClusteredGraph, genotype) -> TreeSolution:
     A grown tree depends only on its key, the priorities it reads (a
     cluster's own vertices, or every cluster's lowest-id vertex), so the
     trees of recent keys are kept in ``g.memo`` and regrown only on a miss.
-    The graph and each of its clusters are connected (``ClusteredGraph``
-    checks this when built), so every grown tree spans what it grows.
+    The clusters partition the vertices, and they and the graph are connected
+    (``ClusteredGraph`` checks this when built), so the trees span the graph.
 
     A cluster's entry is its tree rooted at its seed.  The cluster-level
     entry is the tree of clusters grown from the source's, which maps each
@@ -488,8 +483,6 @@ def decode(g: ClusteredGraph, genotype) -> TreeSolution:
                 w, p = up
                 parent[v] = p
                 dist[v] = dist[p] + w
-    if None in dist:
-        raise InvalidStateError("decoded edge set does not span the graph")
     return TreeSolution(parent=parent, dist=dist, objective=float(sum(dist)))
 
 
@@ -543,11 +536,8 @@ def validate(g: ClusteredGraph, sol: TreeSolution):
             tree_adjacency[p].append(v)
     if len(reachable(tree_adjacency, g.source, range(g.n))) != g.n:
         return ["not a tree: a vertex cannot reach the source"]
-    for ci, cluster in enumerate(g.clusters, start=1):
-        inside = set(cluster)
-        if reachable(tree_adjacency, cluster[0], inside) != inside:
-            violations.append(f"induced subtree of cluster {ci} is disconnected")
-    return violations
+    split = _split_clusters(tree_adjacency, g.clusters)
+    return [f"induced subtree of cluster {ci} is disconnected" for ci in split]
 
 
 def make_task(

@@ -1,11 +1,13 @@
 import math
 import pathlib
 import random
+import re
 import time
 
 import pytest
 
 from mfltga.errors import ConfigurationError, InstanceFormatError, InvalidStateError
+from mfltga.oracle import exhaustive_cluspt
 from mfltga.problems import cluspt
 
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
@@ -18,7 +20,10 @@ def load(name):
 
 
 def build(**overrides):
-    """Assemble a small EXPLICIT instance text with selective overrides."""
+    """Assemble a small EXPLICIT instance text with selective overrides.
+
+    With no edges the text has no EDGE_SECTION at all.
+    """
     fields = {
         "name": "toy",
         "dimension": 4,
@@ -34,8 +39,7 @@ def build(**overrides):
         f"CLUSTERS: {fields['clusters']}",
         f"SOURCE: {fields['source']}",
         "EDGE_WEIGHT_TYPE: EXPLICIT",
-        "EDGE_SECTION",
-        *fields["edges"],
+        *(["EDGE_SECTION", *fields["edges"]] if fields["edges"] else []),
         "CLUSTER_SECTION",
         *fields["cluster_lines"],
         "EOF",
@@ -95,6 +99,8 @@ def test_parse_euclidean_weights_round_to_nearest_int():
         ({"cluster_lines": ["1 1 2 -1"]}, "CLUSTER_SECTION"),
         ({"cluster_lines": ["1 1 2 -1", "1 3 4 -1"]}, "duplicate cluster"),
         ({"cluster_lines": ["1 1 2 -1", "2 3 4"]}, "must be"),
+        # no EDGE_SECTION, and n - 1 = 2 edges are needed
+        ({"dimension": 3, "edges": [], "cluster_lines": ["1 1 2 -1", "2 3 -1"]}, "cannot join"),
     ],
 )
 def test_parse_errors(mutation, fragment):
@@ -221,22 +227,42 @@ def test_parse_rejects_disconnected_graph():
         cluspt.parse_instance(text)
 
 
+PATH3 = {(0, 1), (1, 2)}
+
+
 @pytest.mark.parametrize(
-    "edges, clusters, message",
+    "edges, clusters, source, message",
     [
         # path 0-1-2 with cluster {0, 2} joined only through vertex 1
-        ({(0, 1), (1, 2)}, [(0, 2), (1,)], "induced subgraph of cluster 1 is not connected"),
+        (PATH3, [(0, 2), (1,)], 0, "induced subgraph of cluster 1 is not connected"),
         # no edge between the two clusters
-        ({(0, 1)}, [(0, 1), (2,)], "graph is not connected"),
+        ({(0, 1)}, [(0, 1), (2,)], 0, "graph is not connected"),
+        # the clusters must partition the vertices, and the source be one
+        (PATH3, [(0, 1, 2), ()], 0, "cluster 2 is empty"),
+        (PATH3, [(0, 1), (2, 3)], 0, "vertex 4 outside 1..3"),
+        (PATH3, [(0, 1), (1, 2)], 0, "vertex 2 already belongs to cluster 1"),
+        (PATH3, [(0, 1)], 0, "vertices [3] belong to no cluster"),
+        (PATH3, [(0, 1, 2)], 3, "SOURCE 4 outside 1..3"),
     ],
-    ids=["cluster", "graph"],
+    ids=["cluster", "graph", "empty", "outside", "twice", "uncovered", "source"],
 )
-def test_a_disconnected_graph_fails_when_built(edges, clusters, message):
+def test_a_disconnected_graph_fails_when_built(edges, clusters, source, message):
     adjacency = {v: {} for v in range(3)}
     for u, v in edges:
         adjacency[u][v] = adjacency[v][u] = 1
-    with pytest.raises(InstanceFormatError, match=f"^{message}$"):
-        cluspt.ClusteredGraph(name="d", n=3, adjacency=adjacency, clusters=clusters, source=0)
+    with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
+        cluspt.ClusteredGraph(
+            name="d", n=3, adjacency=adjacency, clusters=clusters, source=source
+        )
+
+
+def test_a_one_vertex_explicit_instance_needs_no_edge_section():
+    text = build(dimension=1, clusters=1, edges=[], cluster_lines=["1 1 -1"])
+    assert "EDGE_SECTION" not in text
+    g = cluspt.parse_instance(text)
+    assert (g.n, g.clusters, g.source) == (1, [(0,)], 0)
+    assert cluspt.decode(g, [0]).objective == 0.0
+    assert exhaustive_cluspt(g).optimum_cost == 0.0
 
 
 def test_parse_file_rejects_non_utf8_content(tmp_path):
