@@ -51,7 +51,13 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--runs", type=int)
     run.add_argument("--seed", type=int)
     run.add_argument("--max-p", type=int, help="no-improvement restart threshold")
-    run.add_argument("--mutation", dest="mutation_rate", type=float, help="per-gene mutation rate")
+    run.add_argument(
+        "--mutation",
+        dest="mutation_rate",
+        type=float,
+        help="per-gene reset rate in [0, 1]; default 0, as LTGA has no mutation "
+        "(0.05 was the former default)",
+    )
     run.add_argument("--trace-every", type=int)
     run.add_argument("--out", dest="out_path", help="output directory for csv/json emission")
 

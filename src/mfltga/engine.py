@@ -7,9 +7,16 @@ offspring.  A mixed pair's losing parent survives, if at all, as a current
 member.  The loop stops at the evaluation budget, or as soon as every task
 with a known optimum has been solved.  Budget checks sit at generation
 boundaries, so a run can overshoot max_evals by at most one generation's
-worth of evaluations.  With mutation off, a generation that evaluated nothing
-also ends the run: crossover skips the masks on which a pair agrees, so a
-converged population would otherwise loop without spending its budget.
+worth of evaluations.
+
+Mutation is off by default, as in Thierens' LTGA, which has none; a per-gene
+reset rate can still be given.  With mutation off, the run also ends after a
+generation that evaluated nothing, or whose survivors all hold one genotype:
+crossover only exchanges genes between parents, so it can make no new
+genotype from such a population.  Without these exits a converged population
+would loop until its budget, which it may spend slowly or never: crossover
+skips the masks on which a pair agrees, and in a mixed pair a parent is
+charged for the selected task while copies of it lose every selection tie.
 """
 from __future__ import annotations
 
@@ -28,6 +35,9 @@ from .mfo import (
     select_fittest,
 )
 from .variation import assortative_mating
+
+# Thierens' LTGA has no mutation; a per-gene reset rate is opt-in.
+DEFAULT_MUTATION_RATE = 0.0
 
 
 @dataclass
@@ -103,7 +113,7 @@ def run_mfltga(
     max_evals: int,
     seed: int,
     max_p: int = 10,
-    mutation_rate: float = 0.05,
+    mutation_rate: float = DEFAULT_MUTATION_RATE,
     trace_every: int = 1,
 ) -> RunRecord:
     """Run the full loop on the given tasks with a dedicated seeded RNG.
@@ -127,7 +137,10 @@ def run_mfltga(
         generation += 1
         if generation % trace_every == 0:
             trace.append(TracePoint(generation, ledger.count, tuple(ledger.best)))
-        if mutation_rate == 0 and ledger.count == evals_before:
+        if mutation_rate == 0 and (
+            ledger.count == evals_before
+            or all(ind.genotype == pop.members[0].genotype for ind in pop.members)
+        ):
             break
     if trace[-1].generation != generation:
         trace.append(TracePoint(generation, ledger.count, tuple(ledger.best)))

@@ -34,7 +34,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import run_mfltga, validate_run_parameters
+from .engine import DEFAULT_MUTATION_RATE, run_mfltga, validate_run_parameters
 from .errors import ConfigurationError
 from .mfo import require_int
 from .problems import cluspt, trap
@@ -50,7 +50,7 @@ class ExperimentConfig:
     runs: int = 10
     seed: int = 42
     max_p: int = 10
-    mutation_rate: float = 0.05
+    mutation_rate: float = DEFAULT_MUTATION_RATE
     trace_every: int = 1
     out_path: Optional[str] = None
 

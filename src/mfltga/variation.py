@@ -1,4 +1,4 @@
-"""Variation: assortative mating, mask-swap crossover, mutation.
+"""Variation: assortative mating, mask-swap crossover, optional mutation.
 
 The mating flow pairs the population at random.  Parents sharing a skill
 factor recombine inside that task; mixed pairs flip a fair coin for the task.
@@ -13,6 +13,8 @@ which the pair agrees at every gene is skipped: its swap would change
 neither child, so it costs no evaluation.
 Pairs that survive a whole traversal unimproved accumulate punishment; past
 the threshold the pair is replaced by fresh random individuals.
+Mutation, a per-gene reset of each offspring, is not part of LTGA and runs
+only at a non-zero rate; the engine's default rate is 0.
 """
 from __future__ import annotations
 

@@ -91,24 +91,68 @@ def test_success_bookkeeping_is_consistent():
 
 
 def test_budget_overshoot_is_at_most_one_generation():
-    # every generation may only start while the counter is under budget
-    record = run_mfltga([unsolvable_task()], pop_size=16, max_evals=500, seed=3)
+    # every generation may only start while the counter is under budget;
+    # mutation keeps the run from converging before the budget is spent
+    record = run_mfltga([unsolvable_task()], pop_size=16, max_evals=500, seed=3, mutation_rate=0.05)
     assert record.total_evals >= 500
     assert record.trace[-2].evals < 500
     assert record.generations >= 1
 
 
-def test_a_converged_run_without_mutation_stops_after_a_generation_that_evaluated_nothing():
-    # crossover skips masks on which a pair agrees, so without mutation a
-    # converged population evaluates nothing; the run must end there and not
-    # loop until a budget it no longer spends
-    record = run_mfltga(
-        trap_tasks(5, 15), pop_size=32, max_evals=100_000, seed=3, mutation_rate=0.0
-    )
+def distinct_genotypes_per_generation(monkeypatch):
+    """Patch the engine's selection to count each generation's distinct survivors."""
+    counts = []
+    engine_select = engine.select_fittest
+
+    def counting_select(current, intermediate, n):
+        pop = engine_select(current, intermediate, n)
+        counts.append(len({bytes(ind.genotype) for ind in pop.members}))
+        return pop
+
+    monkeypatch.setattr(engine, "select_fittest", counting_select)
+    return counts
+
+
+def test_a_converged_run_without_mutation_stops_after_its_converged_generation(monkeypatch):
+    # crossover only exchanges genes between parents, so without mutation a
+    # population of one genotype can make no other; the run must end after the
+    # generation that converged it, not loop until a budget it spends slowly
+    # or never
+    distinct = distinct_genotypes_per_generation(monkeypatch)
+    record = run_mfltga(trap_tasks(5, 15), pop_size=32, max_evals=100_000, seed=3)
     assert record.best_found == (2.0,)
     assert record.optimum_found == (False,)
-    assert record.total_evals < 100_000
-    assert record.trace[-1].evals == record.trace[-2].evals == record.total_evals
+    assert (record.generations, record.total_evals) == (12, 19_898)
+    assert len(distinct) == record.generations
+    assert distinct[-1] == 1 and min(distinct[:-1]) > 1
+    # the converged generation still evaluated, so the zero-evaluation exit
+    # did not end this run
+    assert record.trace[-2].evals < record.trace[-1].evals == record.total_evals
+
+
+def test_a_generation_that_evaluates_nothing_ends_a_run_without_mutation(monkeypatch):
+    # with no masks to swap, a single-task generation evaluates nothing while
+    # the population still holds many genotypes; with mutation off the run
+    # ends there, with mutation on it goes on to its budget
+    distinct = distinct_genotypes_per_generation(monkeypatch)
+    monkeypatch.setattr(engine, "build_all_trees", lambda pop: [[] for _ in pop.tasks])
+    record = run_mfltga(trap_tasks(3, 4), pop_size=16, max_evals=2_000, seed=3)
+    assert (record.generations, record.total_evals) == (1, 16)
+    assert len(distinct) == 1 and distinct[0] > 1
+    mutated = run_mfltga(trap_tasks(3, 4), pop_size=16, max_evals=2_000, seed=3, mutation_rate=0.05)
+    assert mutated.generations > 1 and mutated.total_evals >= 2_000
+
+
+def test_a_converged_multitask_run_ends_instead_of_spinning_to_its_budget():
+    # seeds 4, 5 and 7 converge short of both optima; a mixed pair charges a
+    # parent for the selected task, and copies of it lose every selection tie,
+    # so each generation spent evaluations and the run used to go on for
+    # thousands of generations until its 200k budget
+    for seed in (4, 5, 7):
+        record = run_mfltga(trap_tasks(5, 10, copies=2), pop_size=64, max_evals=200_000, seed=seed)
+        assert record.generations <= 11
+        assert record.total_evals < 30_000
+        assert record.best_found == (1.0, 1.0)
 
 
 def test_zero_budget_still_pays_for_initialization():
@@ -198,7 +242,8 @@ def test_a_300_letter_task_runs_on_list_genotypes():
         return float(sum(genes))
 
     task = TaskDefinition(1, 6, 300, objective)
-    record = run_mfltga([task], pop_size=8, max_evals=400, seed=3)
+    # mutation keeps the run from converging before the budget is spent
+    record = run_mfltga([task], pop_size=8, max_evals=400, seed=3, mutation_rate=0.05)
     assert record.generations >= 1 and record.total_evals >= 400
     assert seen == {list}
 

@@ -90,19 +90,19 @@ CASES = {
 }
 
 GOLDEN_RUNS = {
-    "cluspt-blocks7": "a577ceab027be400ad68366783eaa35a4552407e9d825ce03bb2052c1744166e",
-    "cluspt-euc5": "69e23a3453dbecad654669cc4e09e9b327df629d3d8d8d964e488a3c4f7a9a81",
-    "cluspt-mt": "9a09f26ed2bb804f4481c787be65ca59a91b0b6c141536ad0a7a12c300996b3e",
-    "cluspt-path4": "5d06bef408de6a96510405f0c32c12beb9634f4a8c01ce87c2d75e29fcebc906",
-    "cluspt-rings6": "cf8d38773d799aadc816e7ae3d2dabd1cbe919dc7177b0a3bacaf6a9e19c5229",
-    "cluspt-synth300": "bdd1926d6cffe5ab1c8473e37336ba7c7748f476a857ce0903ce396508b83fee",
+    "cluspt-blocks7": "0226673dbd5915f61c13f99cd2ece9c15f09681fb7581e4745b5c1dc0c373534",
+    "cluspt-euc5": "0ef5ca70c2567fbbea3d3750a4c270d19c04a4515f3e268d1f235dcc9bb5dbf8",
+    "cluspt-mt": "b9d852fa59641d494df42e3442dde29cd623ae25aff7f5db226fa0c8e755d58f",
+    "cluspt-path4": "3b289bbaefff4927603ab915ebbad10dd9a06268c17ae6faa55abee11e1dc98b",
+    "cluspt-rings6": "6ebcf77e1206e22a57d8f8f4da497d855101e0cc6e43fd704d9cc532ec33d0f4",
+    "cluspt-synth300": "1a14eda89aa06fdda0e2bf3a5ac9e7bfaad3034ba88329966822ffc9f342e834",
     "mutation-0": "b76bf205b20c1fab13717713c018b25b64d86c81f7392f34ec92da2688df477b",
     "mutation-0.05": "a3676e2a5bd53dbfe38a3652a4c502b4af4cd45b7c3cbe39ff7101f53515e460",
-    "restart-max-p-0": "12ec42f95e3e7523fa4d004df9e0a5068b28c27548f677de8110888da8184192",
-    "trace-every-3": "24f7ec04db4ea93c852ebd0717da66254e7c11740569839c1b07257ca703a6c7",
-    "trap-mixed-dims": "6b2751c9c9bdfe325226b18cbd97670ad59bc045dc68d56dc2ca6749a7d2bf44",
-    "trap-mt": "c40c27d99d46e2098d8bdb0ba71f935be26be50db6594b9caaedc69f5060ce38",
-    "trap-st": "54d2113230faf402e8e34d5c96765f0d137f37dbbd9d157b3a22afee6e2b1a82",
+    "restart-max-p-0": "5c9ec7461c3d64e67092bf17217360fc99cc6e1b95485dcca3f53276341065e0",
+    "trace-every-3": "e7e1d1a987fed00c770923a13c73809a2f61999dcde8413b2f81c047336d6fb4",
+    "trap-mixed-dims": "73e3cc52eff3cd94baa3497be654d2e5e8e2743d13b007a4082749189eafc1e6",
+    "trap-mt": "c3641dd7b11b5c27a6e31406a946e3fe85a98e50cf054c2070240311a737c239",
+    "trap-st": "22c17ff03c99e9a671aee512ad8878e0e210c56e9327346c5aae951f1db7fd6f",
 }
 
 
@@ -120,20 +120,19 @@ EMISSION_CASES = {
 
 GOLDEN_FILES = {
     "mt": {
-        "summary.csv": "ff43a832996d78d9cbf6812f132ae6aa15eb75d164593e9658b4d51c6bdb9c41",
-        "trace_0.csv": "8cfda3198cd9c781cd2724011e6e9fd2def4b0a7b14a568b0f049e51b407c51c",
-        "trace_1.csv": "41a268bd43967b85541d40c77359c5ddfd190677ddcde3608dbda65353c18b81",
+        "summary.csv": "4287a4eae46c126c7df47b5820c02ca83a0ec44d77e450f57d62c40fceeae2f1",
+        "trace_0.csv": "d944b5d4cb35d74f28d2eb205c6642e5169aef76123f6a6c34c64736cc735c32",
+        "trace_1.csv": "2ce7ca9d6e2c261a7508b42898b67d48a44ee232bb09533d4880b57dc817ed06",
     },
     "st": {
-        "summary.csv": "825d9ac435937a89e3b4bbfb31449eec0c230aeaab0f26c5755e9251f6ff2598",
-        "trace_0.csv": "26558d9783dfaafac076fb94fb8f3fb3b9eebfe4af5549c6e0c9d4db0235f588",
-        "trace_1.csv": "8b3b30cca950e3037be53ae783afc2f324bddaf8447ef51f8b23b74fba7a2b17",
+        "summary.csv": "bf090c54219dc717aa3988535ba058cee26a341edae185b9b54cdc98c6835838",
+        "trace_0.csv": "e9663af0a7f175c51e504361d0270f3d60b17460f314368fafd988a86d678349",
+        "trace_1.csv": "03a335bc1a12df2bc168b960397dc82f8729cc82eed3cfe21d6fc4255784524a",
     },
 }
 
-# config.json keys and values as written at the pinned commit; "<out>" stands
-# for the output directory.  That commit also wrote two keys for a config
-# field that has since been deleted, so only the keys below are compared.
+# config.json as written at the pinned commit; "<out>" stands for the output
+# directory.
 GOLDEN_CONFIG = {
     mode: {
         "problems": ["dtf:k=3,m=4", "dtf:k=2,m=5"],
@@ -144,7 +143,7 @@ GOLDEN_CONFIG = {
         "runs": 2,
         "seed": 7,
         "max_p": 10,
-        "mutation_rate": 0.05,
+        "mutation_rate": 0.0,
         "trace_every": 3,
         "out_path": "<out>",
         "instances": ["dtf:k=3,m=4", "dtf:k=2,m=5"],
@@ -188,7 +187,7 @@ def test_run_fingerprint(name):
 def test_emission_fingerprint(name, tmp_path):
     files, payload = emit(name, tmp_path)
     assert files == GOLDEN_FILES[name]
-    assert {key: payload.get(key) for key in GOLDEN_CONFIG[name]} == GOLDEN_CONFIG[name]
+    assert payload == GOLDEN_CONFIG[name]
 
 
 if __name__ == "__main__":

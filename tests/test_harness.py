@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from mfltga.engine import RunRecord, TracePoint
+from mfltga.engine import RunRecord, TracePoint, run_mfltga
 from mfltga import harness
 from mfltga.errors import ConfigurationError
 from mfltga.mfo import unified_alphabet
@@ -416,3 +416,34 @@ def test_st_runs_of_a_replicated_descriptor_are_identical():
     for r in range(config.runs):
         assert records[1][r] == records[2][r]
     assert records[1][0].to_dict() != records[1][1].to_dict()
+
+
+@pytest.mark.parametrize("mode", ["st", "mt"])
+def test_a_default_config_runs_without_mutation(mode):
+    # the config takes its mutation default from the engine, so a default
+    # campaign gives exactly the engine's mutation-free runs
+    config = ExperimentConfig(
+        problems=["dtf:k=3,m=4", "dtf:k=2,m=5"],
+        mode=mode,
+        num_tasks=2,
+        pop_size=16,
+        max_evals=6_000,
+        runs=2,
+        seed=7,
+    )
+    result = run_experiment(config)
+    tasks, _ = resolve_tasks(config)
+
+    def plain(task_list):
+        return [
+            run_mfltga(task_list, pop_size=16, max_evals=6_000, seed=config.run_seed(r),
+                       mutation_rate=0.0)
+            for r in range(config.runs)
+        ]
+
+    if mode == "mt":
+        assert result.mt_records == plain(tasks)
+    else:
+        assert result.st_records == {
+            task.task_id: plain([dataclasses.replace(task, task_id=1)]) for task in tasks
+        }
