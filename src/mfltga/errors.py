@@ -10,7 +10,11 @@ class InvalidStateError(RuntimeError):
 
 
 class InstanceFormatError(ValueError):
-    """Raised by instance parsers; message carries the offending line number."""
+    """Raised for a malformed instance, by the parser or by ``ClusteredGraph``.
+
+    The message starts with the offending line number when there is one: the
+    parser gives it, a graph built by hand has no lines.
+    """
 
     def __init__(self, message, line=None):
         if line is not None:

@@ -28,18 +28,20 @@ Genotypes are integer priority vectors.  The decoder grows each cluster's
 internal tree and the cluster-level tree by highest-priority frontier
 expansion; a cluster-level link is the cheapest concrete edge between its
 two clusters.  Each graph keeps a bounded memo of recently grown trees, so a
-cluster whose priorities were seen before is not regrown: a cluster's entry
-is its tree rooted at its seed, and the cluster-level entry is the tree of
-clusters, each reached through the concrete edge it is entered by.  A
-decode re-roots each cluster's tree at its entry vertex to orient everything
-away from the source; decoding gives the same tree either way.
+cluster whose priorities, or just their order, were seen before is not
+regrown: a cluster's entry is its tree rooted at its seed, and the
+cluster-level entry is the tree of clusters, each reached through the
+concrete edge it is entered by.  A decode re-roots each cluster's tree at its
+entry vertex to orient everything away from the source; decoding gives the
+same tree either way.  The task objective is ``cost``, which adds per-cluster
+distance sums kept on the memo entries instead of decoding vertex by vertex.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from heapq import heappop, heappush
 from itertools import islice
 from operator import itemgetter
@@ -151,12 +153,23 @@ class ClusteredGraph:
     def memo(self) -> tuple:
         """Grown trees by key: one table per cluster, then the cluster-level one.
 
-        Every table maps a key to a ``_grow`` map: a cluster's is rooted at
-        its seed, the cluster-level one at the source's cluster, and each of
-        its links holds the vertex a cluster is entered at and the vertex
-        outside that it hangs from.
+        The cluster-level table maps a key to a ``_grow`` map rooted at the
+        source's cluster, each of its links holding the vertex a cluster is
+        entered at and the vertex outside that it hangs from.  A cluster's
+        table maps a key to an entry (tree, sums): the ``_grow`` map rooted
+        at its seed, and, for each vertex x the cluster was entered at so
+        far, sums[x] = ``_sums_from(tree, x)``.
         """
         return tuple({} for _ in range(self.num_clusters + 1))
+
+    @cached_property
+    def orders(self) -> tuple:
+        """A cluster's memo entries by priority order, one table per cluster.
+
+        An order is the cluster's vertices by descending priority, ties in
+        ascending id.  Keys of one order share one entry.
+        """
+        return tuple({} for _ in self.clusters)
 
     def edges(self):
         for u in range(self.n):
@@ -410,6 +423,73 @@ def _remember(memo: dict, key, grown) -> None:
     memo[key] = grown
 
 
+def _lookup(g: ClusteredGraph, genotype):
+    """(entries, tops): each cluster's memo entry and the cluster-level tree.
+
+    A cluster's key misses only on priorities not seen lately; its priority
+    order, the vertices by descending priority with ties in ascending id, is
+    then looked up in ``g.orders``, and a tree is grown only if that misses
+    too.  ``_grow`` compares nothing but (-prio, id), so one order grows one
+    tree, rooted at the order's first vertex.
+    """
+    if len(genotype) < g.n:
+        raise ConfigurationError(
+            f"genotype length {len(genotype)} is shorter than vertex count {g.n}"
+        )
+    # an array's items as Python numbers: negating an unsigned numpy item
+    # wraps, and the memo's keys would equate it with the int it holds
+    prio = genotype.tolist() if hasattr(genotype, "tolist") else genotype
+    entries = []
+    for cluster, key_of, memo, orders in zip(g.clusters, g.cluster_keys, g.memo, g.orders):
+        key = key_of(prio)
+        entry = memo.get(key)
+        if entry is None:
+            # a reverse sort is stable, so ties keep the lower id first
+            order = tuple(sorted(cluster, key=prio.__getitem__, reverse=True))
+            entry = orders.get(order)
+            if entry is None:
+                entry = (_grow(order[0], prio, g.intra_links), {})
+                _remember(orders, order, entry)
+            _remember(memo, key, entry)
+        entries.append(entry)
+    lead_prio = g.lead_key(prio)
+    memo = g.memo[-1]
+    tops = memo.get(lead_prio)
+    if tops is None:
+        tops = _grow(g.owner[g.source], lead_prio, g.cluster_links)
+        _remember(memo, lead_prio, tops)
+    return entries, tops
+
+
+def _rerooted(tree, x):
+    """(v, w, p) for every vertex v of a cluster's tree but x, re-rooted at x.
+
+    The path from x up to the seed is reversed; every other vertex keeps its
+    seed-side parent.  v hangs from p by an edge of weight w, and p comes
+    before v, so the walk is top-down from x.
+    """
+    turned = {x}
+    up = tree[x]
+    while up is not None:
+        w, p = up
+        up = tree[p]
+        yield p, w, x
+        turned.add(p)
+        x = p
+    for v, up in tree.items():
+        if v not in turned:
+            w, p = up
+            yield v, w, p
+
+
+def _sums_from(tree, x) -> tuple:
+    """(S, dist): dist[v] is the distance from x to v in tree, S their sum."""
+    dist = {x: 0.0}
+    for v, w, p in _rerooted(tree, x):
+        dist[v] = dist[p] + w
+    return sum(dist.values()), dist
+
+
 def decode(g: ClusteredGraph, genotype) -> TreeSolution:
     """Decode a priority vector into a feasible clustered spanning tree.
 
@@ -422,11 +502,13 @@ def decode(g: ClusteredGraph, genotype) -> TreeSolution:
 
     A grown tree depends only on its key, the priorities it reads (a
     cluster's own vertices, or every cluster's lowest-id vertex), so the
-    trees of recent keys are kept in ``g.memo`` and regrown only on a miss.
-    The clusters partition the vertices, and they and the graph are connected
-    (``ClusteredGraph`` checks this when built), so the trees span the graph.
+    trees of recent keys are kept in ``g.memo`` and regrown only on a miss;
+    a cluster's tree depends only on its priority order, so that is tried
+    before regrowing (``_lookup``).  The clusters partition the vertices,
+    and they and the graph are connected (``ClusteredGraph`` checks this
+    when built), so the trees span the graph.
 
-    A cluster's entry is its tree rooted at its seed.  The cluster-level
+    A cluster's entry holds its tree rooted at its seed.  The cluster-level
     entry is the tree of clusters grown from the source's, which maps each
     other cluster, top-down, to its link (w, tree-side cluster, entry vertex,
     outside vertex).  The source's cluster is entered at the source.  Each
@@ -436,29 +518,7 @@ def decode(g: ClusteredGraph, genotype) -> TreeSolution:
     path from the source, the same sums in the same order however the trees
     were memoized, so the result is bit-equal whatever the weights.
     """
-    if len(genotype) < g.n:
-        raise ConfigurationError(
-            f"genotype length {len(genotype)} is shorter than vertex count {g.n}"
-        )
-    # an array's items as Python numbers: negating an unsigned numpy item
-    # wraps, and the memo's keys would equate it with the int it holds
-    prio = genotype.tolist() if hasattr(genotype, "tolist") else genotype
-    trees = []
-    for cluster, key_of, memo in zip(g.clusters, g.cluster_keys, g.memo):
-        key = key_of(prio)
-        tree = memo.get(key)
-        if tree is None:
-            seed = min(cluster, key=lambda v: (-prio[v], v))
-            tree = _grow(seed, prio, g.intra_links)
-            _remember(memo, key, tree)
-        trees.append(tree)
-    lead_prio = g.lead_key(prio)
-    memo = g.memo[-1]
-    tops = memo.get(lead_prio)
-    if tops is None:
-        tops = _grow(g.owner[g.source], lead_prio, g.cluster_links)
-        _remember(memo, lead_prio, tops)
-
+    entries, tops = _lookup(g, genotype)
     parent = [None] * g.n
     dist = [None] * g.n
     dist[g.source] = 0.0
@@ -469,21 +529,42 @@ def decode(g: ClusteredGraph, genotype) -> TreeSolution:
             w, _, x, outside = link
             parent[x] = outside
             dist[x] = dist[outside] + w
-        tree = trees[c]
-        # reverse the path from the entry vertex up to the seed
-        up = tree[x]
-        while up is not None:
-            w, p = up
-            up = tree[p]
-            parent[p] = x
-            dist[p] = dist[x] + w
-            x = p
-        for v, up in tree.items():
-            if dist[v] is None:
-                w, p = up
-                parent[v] = p
-                dist[v] = dist[p] + w
+        for v, w, p in _rerooted(entries[c][0], x):
+            parent[v] = p
+            dist[v] = dist[p] + w
     return TreeSolution(parent=parent, dist=dist, objective=float(sum(dist)))
+
+
+def cost(g: ClusteredGraph, genotype) -> float:
+    """The objective of decode(g, genotype), without its per-vertex pass.
+
+    A cluster C entered at x adds |C|·dist(x) + S, where S sums the tree
+    distances from x inside C.  x's cluster hangs from vertex y of an earlier
+    cluster entered at z, so dist(x) = dist(z) + the tree distance from z to
+    y + the link weight.  S and the distances from x are kept on C's memo
+    entry, so a memoized evaluation costs a few steps per cluster.  The sums
+    are float sums, as decode's are, but in another order: equal while the
+    weights and sums are whole numbers below 2**53, within rounding else.
+    """
+    entries, tops = _lookup(g, genotype)
+    clusters = g.clusters
+    placed = [None] * len(clusters)  # placed[c]: (dist of c's entry, distances from it)
+    total = 0.0
+    for c, link in tops.items():
+        if link is None:
+            x, d = g.source, 0.0
+        else:
+            w, b, x, outside = link
+            d_b, from_b = placed[b]
+            d = d_b + from_b[outside] + w
+        tree, sums = entries[c]
+        held = sums.get(x)
+        if held is None:
+            held = sums[x] = _sums_from(tree, x)
+        s, from_x = held
+        placed[c] = (d, from_x)
+        total += len(clusters[c]) * d + s
+    return total
 
 
 def recompute_objective(g: ClusteredGraph, parent) -> float:
@@ -551,6 +632,6 @@ def make_task(
         task_id=task_id,
         dimension=g.n,
         alphabet_size=max(g.n, 2),
-        objective=lambda genes, _g=g: decode(_g, genes).objective,
+        objective=partial(cost, g),
         known_optimum=known_optimum,
     )

@@ -261,7 +261,7 @@ def test_a_one_vertex_explicit_instance_needs_no_edge_section():
     assert "EDGE_SECTION" not in text
     g = cluspt.parse_instance(text)
     assert (g.n, g.clusters, g.source) == (1, [(0,)], 0)
-    assert cluspt.decode(g, [0]).objective == 0.0
+    assert cluspt.decode(g, [0]).objective == cluspt.cost(g, [0]) == 0.0
     assert exhaustive_cluspt(g).optimum_cost == 0.0
 
 
@@ -294,8 +294,9 @@ def test_decode_is_deterministic():
 
 def test_decode_rejects_short_genotype():
     g = load("path4")
-    with pytest.raises(ConfigurationError):
-        cluspt.decode(g, [0, 0, 0])
+    for fn in (cluspt.decode, cluspt.cost):
+        with pytest.raises(ConfigurationError):
+            fn(g, [0, 0, 0])
 
 
 def test_decode_output_is_valid_and_objective_recomputes():
@@ -411,6 +412,19 @@ def test_make_task_defaults():
     assert task.objective(genotype) == cluspt.decode(g, genotype).objective
 
 
+def test_a_cost_past_the_float_range_is_infinite_as_decoded():
+    # each distance is finite, their sum is not; the engine's ledger rejects
+    # an infinite cost with a typed error, so cost must not raise here
+    text = (
+        "DIMENSION: 3\nCLUSTERS: 3\nSOURCE: 1\nEDGE_WEIGHT_TYPE: EUC_2D\n"
+        "NODE_COORD_SECTION\n1 0 0\n2 1.2e308 0\n3 1.2e308 1.2e308\n"
+        "CLUSTER_SECTION\n1 1 -1\n2 2 -1\n3 3 -1\nEOF\n"
+    )
+    g = cluspt.parse_instance(text)
+    for genotype in ([0, 1, 2], [2, 1, 0]):
+        assert cluspt.cost(g, genotype) == cluspt.decode(g, genotype).objective == math.inf
+
+
 def test_euclidean_single_vertex_clusters_reduce_to_shortest_path_like_tree():
     # all-singleton clusters: decode must still span and root at the source
     text = (
@@ -422,7 +436,9 @@ def test_euclidean_single_vertex_clusters_reduce_to_shortest_path_like_tree():
     g = cluspt.parse_instance(text)
     rng = random.Random(31)
     for _ in range(60):
-        sol = cluspt.decode(g, [rng.randrange(4) for _ in range(4)])
+        genotype = [rng.randrange(4) for _ in range(4)]
+        sol = cluspt.decode(g, genotype)
         assert cluspt.validate(g, sol) == []
         assert sol.parent[g.source] is None
         assert math.isfinite(sol.objective)
+        assert cluspt.cost(g, genotype) == sol.objective

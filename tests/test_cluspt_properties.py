@@ -1,12 +1,14 @@
 """Property tests of the CluSPT parser and decoder.
 
-The decoder runs on generated sparse EXPLICIT instances.  Each cluster gets a
-random spanning tree plus a few extra internal edges, and the clusters are
-joined by a random tree of inter-cluster edges plus extras, so some cluster
-pairs share no edge and some share several.  Each instance draws its weights
-from one three-value set, so cheapest inter-cluster edges often tie: either
-small integers or non-dyadic floats of mixed magnitude, whose sums round
-differently when added in another order than along the tree path.
+The decoder and the cost path run on generated sparse EXPLICIT instances.
+Each cluster gets a random spanning tree plus a few extra internal edges, and
+the clusters are joined by a random tree of inter-cluster edges plus extras,
+so some cluster pairs share no edge and some share several.  Each instance
+draws its weights from one three-value set, so cheapest inter-cluster edges
+often tie: either small integers or non-dyadic floats of mixed magnitude,
+whose sums round differently when added in another order than along the tree
+path.  The cost must equal the decoded objective exactly on integers, and
+within 1e-9 relative on the floats.
 
 The parser runs on the fixtures in instances/ with a few lines deleted,
 inserted or changed, and may fail only with InstanceFormatError.
@@ -78,6 +80,12 @@ def test_decode_is_valid_and_matches_reference(case):
     assert cluspt.recompute_objective(g, sol.parent) == sol.objective
     want = cluspt_reference.decode(g, genotype)
     assert (sol.parent, sol.dist, sol.objective) == (want.parent, want.dist, want.objective)
+    cost = cluspt.cost(g, genotype)
+    if all(float(w).is_integer() for _, _, w in g.edges()):
+        assert cost == sol.objective
+    else:
+        # summed per cluster, in another order than along each tree path
+        assert cost == pytest.approx(sol.objective, rel=1e-9, abs=0)
 
 
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"

@@ -8,6 +8,10 @@ sequences that overflow the memo are checked call by call as well.  Graphs
 with non-dyadic float weights check that every distance is summed along the
 tree path from the source, also when a memoized cluster tree is re-rooted at
 a new entry vertex.
+
+Every decoding is also costed by ``cluspt.cost``, the task objective, which
+adds per-cluster distance sums in another order: it must equal the decoded
+objective exactly on integer weights, and within 1e-9 relative on others.
 """
 import pathlib
 import random
@@ -92,13 +96,32 @@ def assert_same_decoding(g, genotype):
     assert got.parent == want.parent
     assert got.dist == want.dist
     assert got.objective == want.objective
+    assert_cost_agrees(g, genotype, got.objective)
     assert_memo_bounded(g)
     return got
 
 
+def integer_weights(g):
+    """Whether every weight a decode can read (intra-cluster edges and
+    cluster-level links) is a whole number."""
+    intra = (w for links in g.intra_links for w, _ in links)
+    level = (link[0] for links in g.cluster_links for link in links)
+    return all(float(w).is_integer() for w in (*intra, *level))
+
+
+def assert_cost_agrees(g, genotype, objective):
+    got = cluspt.cost(g, genotype)
+    assert type(got) is float
+    if integer_weights(g):
+        assert got == objective
+    else:
+        assert got == pytest.approx(objective, rel=1e-9, abs=0)
+
+
 def assert_memo_bounded(g):
     assert len(g.memo) == g.num_clusters + 1
-    assert all(len(table) <= cluspt.MEMO_SIZE for table in g.memo)
+    assert len(g.orders) == g.num_clusters
+    assert all(len(table) <= cluspt.MEMO_SIZE for table in (*g.memo, *g.orders))
 
 
 GRAPHS = (
@@ -182,13 +205,14 @@ def test_memo_overflow_keeps_decoding_like_reference(label):
     g = graph(label)
     rng = random.Random(label)
     seen = [[rng.randrange(g.n) for _ in range(g.n)] for _ in range(3 * cluspt.MEMO_SIZE)]
-    largest = 0
+    largest = largest_order = 0
     for x in seen:
         assert_same_decoding(g, x)
         largest = max(largest, max(len(table) for table in g.memo))
+        largest_order = max(largest_order, max(len(table) for table in g.orders))
     if g.n > 6:
         # distinct keys outnumber the bound, so a table filled up and was cleared
-        assert largest == cluspt.MEMO_SIZE
+        assert largest == largest_order == cluspt.MEMO_SIZE
         assert len(g.memo[-1]) < len({tuple(x[min(c)] for c in g.clusters) for x in seen})
     # keys dropped from the memo are grown again, and alike
     for x in seen[: cluspt.MEMO_SIZE]:
@@ -208,6 +232,7 @@ def test_array_genotypes_decode_as_their_integers(label, dtype):
         for genotype in (x, np.array(x, dtype=dtype))[:: rng.choice((1, -1))]:
             got = cluspt.decode(g, genotype)
             assert (got.parent, got.dist, got.objective) == (want.parent, want.dist, want.objective)
+            assert_cost_agrees(g, genotype, want.objective)
         assert_memo_bounded(g)
 
 
@@ -245,6 +270,11 @@ def seed_of(cluster, prio):
     return min(cluster, key=lambda v: (-prio[v], v))
 
 
+def order_of(cluster, prio):
+    """The cluster's vertices in the order _grow ranks them: by (-prio, id)."""
+    return sorted(cluster, key=lambda v: (-prio[v], v))
+
+
 def lead_change_moving_an_entry(g, rng):
     """A genotype x and a change y of cluster c's lowest-id priority that moves d.
 
@@ -278,11 +308,62 @@ def test_moved_entry_vertex_reroots_the_memoized_cluster(monkeypatch, label):
 
     monkeypatch.setattr(cluspt, "_grow", counting_grow)
     first = assert_same_decoding(g, x)
-    tree = g.memo[d][g.cluster_keys[d](x)]
+    entry = g.memo[d][g.cluster_keys[d](x)]
     grown.clear()
     got = assert_same_decoding(g, y)
-    # cluster c and the cluster-level tree are regrown, and nothing else
-    assert sorted(grown) == [("cluster", seed_of(g.clusters[c], y)), ("level", g.owner[g.source])]
-    # cluster d hangs from a new entry vertex, re-rooted from its memo entry
-    assert entry_vertices(g, got.parent)[d] != entry_vertices(g, first.parent)[d]
-    assert g.memo[d][g.cluster_keys[d](y)] is tree
+    # the cluster-level tree is regrown, and cluster c only if the change
+    # moved c's priority order: one order grows one tree
+    want = [("level", g.owner[g.source])]
+    if order_of(g.clusters[c], x) != order_of(g.clusters[c], y):
+        want.append(("cluster", seed_of(g.clusters[c], y)))
+    assert sorted(grown) == sorted(want)
+    # cluster d hangs from a new entry vertex, re-rooted from its memo entry,
+    # which now holds the distance sums from both entry vertices
+    moved = entry_vertices(g, got.parent)[d]
+    assert moved != entry_vertices(g, first.parent)[d]
+    assert g.memo[d][g.cluster_keys[d](y)] is entry
+    sums = entry[1]
+    assert {entry_vertices(g, first.parent)[d], moved} <= set(sums)
+
+
+def test_one_priority_order_shares_one_grown_tree(monkeypatch):
+    g = graph("euclidean:30:1")
+    rng = random.Random(11)
+    grown = []
+    original = cluspt._grow
+
+    def counting_grow(root, prio, links):
+        grown.append("level" if links is g.cluster_links else "cluster")
+        return original(root, prio, links)
+
+    monkeypatch.setattr(cluspt, "_grow", counting_grow)
+    # a small alphabet, so priorities tie within clusters
+    x = [rng.randrange(3) for _ in range(g.n)]
+    assert_same_decoding(g, x)
+    assert grown.count("cluster") == g.num_clusters
+    grown.clear()
+    # every priority differs from x's, but a strictly increasing map keeps
+    # each cluster's order, ties included: only the cluster-level key is new
+    y = [2 * p + 1 for p in x]
+    assert_same_decoding(g, y)
+    assert grown == ["level"]
+    for c, key_of in enumerate(g.cluster_keys):
+        assert key_of(x) != key_of(y)
+        assert g.memo[c][key_of(y)] is g.memo[c][key_of(x)]
+    # breaking one tie in cluster 0 changes its order, and regrows it alone
+    tied = next(v for u in g.clusters[0] for v in g.clusters[0] if u < v and y[u] == y[v])
+    y[tied] += 1
+    grown.clear()
+    assert_same_decoding(g, y)
+    assert grown == ["cluster"]
+
+
+def test_cost_on_a_300_vertex_instance_with_list_genotypes():
+    g = cluspt.parse_instance(clustered_euclidean_text(300, 10, 8))
+    assert integer_weights(g)
+    rng = random.Random(8)
+    for alphabet in (2, g.n):
+        for _ in range(30):
+            x = [rng.randrange(alphabet) for _ in range(g.n)]
+            assert cluspt.cost(g, x) == cluspt.decode(g, x).objective
+    assert_memo_bounded(g)
