@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from heapq import heappop, heappush
 from itertools import islice
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Optional
 
 from ..errors import ConfigurationError, InstanceFormatError, InvalidStateError
@@ -436,9 +436,15 @@ def _lookup(g: ClusteredGraph, genotype):
         raise ConfigurationError(
             f"genotype length {len(genotype)} is shorter than vertex count {g.n}"
         )
-    # an array's items as Python numbers: negating an unsigned numpy item
-    # wraps, and the memo's keys would equate it with the int it holds
-    prio = genotype.tolist() if hasattr(genotype, "tolist") else genotype
+    # any genes but a bytearray's as Python ints: negating an unsigned numpy
+    # item wraps, and the memo's keys would equate it with the int it holds
+    if type(genotype) is bytearray:
+        prio = genotype
+    else:
+        try:
+            prio = list(map(index, genotype))
+        except TypeError as exc:
+            raise ConfigurationError(f"genotype genes must be integers: {exc}") from None
     entries = []
     for cluster, key_of, memo, orders in zip(g.clusters, g.cluster_keys, g.memo, g.orders):
         key = key_of(prio)

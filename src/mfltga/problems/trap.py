@@ -8,7 +8,6 @@ m*k - value, so the unique optimum (all ones) has cost 0.
 """
 from __future__ import annotations
 
-import struct
 import sys
 from dataclasses import dataclass
 
@@ -45,16 +44,29 @@ def objective(spec: TrapSpec):
     over the m blocks that is (total ones) + m - (k + 1) * (all-ones blocks).
 
     The returned function reads a `bytearray`, the engine's genotype for a
-    binary task, in place.  A `bits` of another type, or of the wrong length,
-    raises ConfigurationError saying so, and so does a byte other than 0 or
-    1, naming the first one.  The bit check, the ones count and the all-ones
-    block count are C-level passes over the bytes.  The function binds k, m
-    and the block splitter once; a task keeps it as its objective.
+    binary task, as one little-endian integer x, byte i at bits 8i..8i+7.  A
+    `bits` of another type, or of the wrong length, raises ConfigurationError
+    saying so, and so does a byte other than 0 or 1, naming the first one: x
+    shares a bit with `high` (0xfe in every byte) exactly when such a byte is
+    there.  The ones are x.bit_count().  For the all-ones blocks, log-step
+    ANDs `run &= run >> 8s` (s = 1, 2, 4, ... while 2s <= k, then one tail
+    shift of k minus the span so far) leave byte i of run set exactly when
+    bytes i..i+k-1 are all ones; `starts` keeps each block's first byte, and
+    its bit count is the number of all-ones blocks.  The function binds k,
+    m, `high`, `starts` and the shifts once; a task keeps it as its objective.
     """
     k, m = spec.block_size, spec.num_blocks
     length = k * m
-    blocks = struct.Struct(f"{k}s" * m).unpack
-    all_ones = b"\x01" * k
+    high = int.from_bytes(b"\xfe" * length, "little")
+    starts = int.from_bytes(b"\x01".ljust(k, b"\x00") * m, "little")
+    shifts = []
+    span = 1
+    while 2 * span <= k:
+        shifts.append(8 * span)
+        span *= 2
+    if span < k:
+        shifts.append(8 * (k - span))
+    shifts = tuple(shifts)
 
     def cost(bits) -> int:
         if type(bits) is not bytearray:
@@ -63,10 +75,14 @@ def objective(spec: TrapSpec):
             raise ConfigurationError(
                 f"genotype length {len(bits)} does not match instance length {length}"
             )
-        if bits.translate(None, b"\x00\x01"):
+        x = int.from_bytes(bits, "little")
+        if x & high:
             pos = length - len(bits.lstrip(b"\x00\x01"))
             raise ConfigurationError(f"gene {bits[pos]} at position {pos} is not a bit")
-        return bits.count(1) + m - (k + 1) * blocks(bits).count(all_ones)
+        run = x
+        for shift in shifts:
+            run &= run >> shift
+        return x.bit_count() + m - (k + 1) * (run & starts).bit_count()
 
     return cost
 

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import cluspt_reference
+from mfltga.errors import ConfigurationError
 from mfltga.problems import cluspt
 
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
@@ -227,13 +228,23 @@ def test_array_genotypes_decode_as_their_integers(label, dtype):
     for _ in range(50):
         x = [rng.randrange(g.n) for _ in range(g.n)]
         want = cluspt_reference.decode(g, x)
-        # the list and the array share their memo keys; whichever comes first,
-        # the answer must not depend on it
-        for genotype in (x, np.array(x, dtype=dtype))[:: rng.choice((1, -1))]:
+        # the list, the array and a list of the array's scalars share their
+        # memo keys; whichever comes first, the answer must not depend on it
+        scalars = list(np.array(x, dtype=dtype))
+        for genotype in (x, np.array(x, dtype=dtype), scalars)[:: rng.choice((1, -1))]:
             got = cluspt.decode(g, genotype)
             assert (got.parent, got.dist, got.objective) == (want.parent, want.dist, want.objective)
             assert_cost_agrees(g, genotype, want.objective)
         assert_memo_bounded(g)
+
+
+@pytest.mark.parametrize("genotype", [[0.0] * 7, [0, 1, 2, "3", 4, 5, 6], [None] * 7])
+def test_non_integer_genes_are_a_configuration_error(genotype):
+    g = graph("fixture:blocks7")
+    with pytest.raises(ConfigurationError, match="^genotype genes must be integers: "):
+        cluspt.decode(g, genotype)
+    with pytest.raises(ConfigurationError, match="^genotype genes must be integers: "):
+        cluspt.cost(g, genotype)
 
 
 def test_memo_hit_grows_nothing(monkeypatch):

@@ -19,6 +19,12 @@ def test_block_score_cases():
     assert one_block([1, 1, 0, 1, 0]) == 4
     assert one_block([1]) == 0
     assert one_block([0]) == 1
+    # one block whatever doubling and tail shifts its size takes
+    for k in (2, 3, 7, 8, 9, 16):
+        assert one_block([1] * k) == 0
+        assert one_block([0] * k) == 1
+        assert one_block([1] * (k - 1) + [0]) == k
+        assert one_block([0] + [1] * (k - 1)) == k
 
 
 def test_block_rejects_non_bits():
@@ -32,7 +38,7 @@ def test_block_rejects_non_bits():
             trap.objective(trap.TrapSpec(3, 3))(bits)
 
 
-NON_BITS = [None, 2, 255, -1, 256, "1", [1], 0.5, 1.0, 0.0]
+NON_BITS = [None, 2, 3, 255, -1, 256, "1", [1], 0.5, 1.0, 0.0]
 
 
 @pytest.mark.parametrize("pos", [0, 7, 14])
@@ -92,6 +98,12 @@ def test_evaluate_hand_cases():
     # value 0
     assert trap.objective(trap.TrapSpec(4, 1))(bytearray([0, 1, 1, 1])) == 4
     assert trap.objective(trap.TrapSpec(2, 3))(bytearray([0, 1, 1, 1, 0, 0])) == 3
+    # three ones in a row across a block boundary make no all-ones block
+    assert trap.objective(trap.TrapSpec(3, 2))(bytearray([0, 1, 1, 1, 0, 0])) == 5
+    assert trap.objective(trap.TrapSpec(5, 3))(bytearray([0] * 9 + [1] * 5 + [0])) == 8
+    # one-bit blocks cost 1 for each 0
+    assert trap.objective(trap.TrapSpec(1, 5))(bytearray([1, 0, 1, 1, 0])) == 2
+    assert trap.objective(trap.TrapSpec(1, 5))(bytearray([1] * 5)) == 0
     assert isinstance(trap.objective(trap.TrapSpec(2, 3))(bytearray([0, 1, 1, 1, 0, 0])), int)
 
 
