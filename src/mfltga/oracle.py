@@ -109,7 +109,8 @@ def exhaustive_cluspt(g: ClusteredGraph) -> OracleResult:
 
     Feasible trees factor into a spanning tree per cluster, a tree over the
     clusters, and one concrete connecting edge per cluster-tree edge; the
-    oracle walks the full cross product.
+    oracle walks the full cross product.  A built graph and its clusters are
+    connected, so there is always at least one.
     """
     if g.n > MAX_CLUSPT_VERTICES:
         raise ConfigurationError(
@@ -146,8 +147,6 @@ def exhaustive_cluspt(g: ClusteredGraph) -> OracleResult:
                 count = 1
             elif cost == best:
                 count += 1
-    if best is None:
-        raise ConfigurationError("instance admits no feasible tree")
     return OracleResult(optimum_cost=float(best), optimum_count=count, enumerated=examined)
 
 

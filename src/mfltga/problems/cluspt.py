@@ -58,18 +58,22 @@ MEMO_SIZE = 128
 class ClusteredGraph:
     """Instance with 0-based vertices, checked when built.
 
-    Non-empty clusters partition the vertices, the source is one, and the graph
-    and each cluster are connected; else InstanceFormatError names the vertex
-    or cluster (1-based).  owner[v] is the index of the cluster holding v.
+    Non-empty clusters partition the vertices, the source is one, the
+    adjacency has a row for each vertex 0..n-1 and symmetric weights, and the
+    graph and each cluster are connected; else InstanceFormatError names the
+    vertex or cluster (1-based).  Each cluster is stored as a sorted tuple,
+    since growth breaks priority ties by that order.  owner[v] is the index of
+    the cluster holding v.
     """
 
     name: str
     n: int
     adjacency: dict  # adjacency[u][v] = weight, symmetric
-    clusters: list  # list of sorted vertex tuples, file order
+    clusters: list  # list of vertex tuples, sorted when built, file order
     source: int
 
     def __post_init__(self):
+        self.clusters = [tuple(sorted(cluster)) for cluster in self.clusters]
         owner = [None] * self.n
         for ci, cluster in enumerate(self.clusters):
             if not cluster:
@@ -89,6 +93,7 @@ class ClusteredGraph:
         if not 0 <= self.source < self.n:
             raise InstanceFormatError(f"SOURCE {self.source + 1} outside 1..{self.n}")
         self.owner = tuple(owner)
+        _check_adjacency(self.adjacency, self.n)
         if len(reachable(self.adjacency, self.source, range(self.n))) != self.n:
             raise InstanceFormatError("graph is not connected")
         split = _split_clusters(self.adjacency, self.clusters)
@@ -147,7 +152,7 @@ class ClusteredGraph:
         With one cluster it is that bare priority, which is never indexed:
         the source's cluster then has no neighbours.
         """
-        return itemgetter(*(min(cluster) for cluster in self.clusters))
+        return itemgetter(*(cluster[0] for cluster in self.clusters))
 
     @cached_property
     def memo(self) -> tuple:
@@ -343,7 +348,7 @@ def parse_instance(text: str) -> ClusteredGraph:
             raise InstanceFormatError(f"cluster id {cid} outside 1..{num_clusters}", lineno)
         if cid in clusters_by_id:
             raise InstanceFormatError(f"duplicate cluster id {cid}", lineno)
-        clusters_by_id[cid] = tuple(sorted(v - 1 for v in members))
+        clusters_by_id[cid] = tuple(v - 1 for v in members)
     clusters = [clusters_by_id[cid] for cid in range(1, num_clusters + 1)]
 
     return ClusteredGraph(
@@ -379,6 +384,26 @@ def reachable(adjacency, start, allowed) -> set:
                 seen.add(v)
                 queue.append(v)
     return seen
+
+
+def _check_adjacency(adjacency, n) -> None:
+    """Raise InstanceFormatError unless adjacency has rows 0..n-1 and symmetric weights."""
+    missing = [u + 1 for u in range(n) if u not in adjacency]
+    if missing:
+        listed = _listed(missing, len(missing))
+        raise InstanceFormatError(f"vertices {listed} have no adjacency row")
+    if len(adjacency) != n:
+        stray = [u + 1 for u in adjacency if u not in range(n)]
+        raise InstanceFormatError(f"adjacency rows {_listed(stray, len(stray))} outside 1..{n}")
+    for u, row in adjacency.items():
+        for v, w in row.items():
+            if v not in adjacency:
+                raise InstanceFormatError(f"edge {u + 1}-{v + 1} leaves 1..{n}")
+            back = adjacency[v].get(u)
+            if back is None:
+                raise InstanceFormatError(f"edge {u + 1}-{v + 1} has no reverse {v + 1}-{u + 1}")
+            if back is not w and back != w:
+                raise InstanceFormatError(f"edge {u + 1}-{v + 1} weighs {w} one way, {back} back")
 
 
 def _split_clusters(adjacency, clusters) -> list:

@@ -115,6 +115,52 @@ def test_run_that_beats_a_declared_optimum_exits_with_error(tmp_path, capsys):
     assert not (out_dir / "summary.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "problem, tasks, pop, max_evals",
+    [
+        # one file replicated over three tasks shares one graph and its memo
+        (f"cluspt:{INSTANCES / 'rings6.cluspt'},opt=22", 3, 8, 2000),
+        ("dtf:k=4,m=5", 2, 64, 200000),
+        # k=7 counts full blocks with shifts of 1 and 2 bytes and a tail of 3
+        ("dtf:k=7,m=3", 2, 64, 200000),
+    ],
+    ids=["rings6", "dtf-k4", "dtf-k7"],
+)
+def test_campaign_solves_every_task_in_every_run(problem, tasks, pop, max_evals, capsys):
+    argv = ["run", "--problem", problem, "--mode", "mt", "--tasks", str(tasks), "--pop", str(pop)]
+    assert main(argv + ["--max-evals", str(max_evals), "--runs", "2"]) == 0
+    header, *rows = printed_table(capsys.readouterr().out)
+    rows = [dict(zip(header, row)) for row in rows]
+    assert len(rows) == tasks
+    assert all(row["num_opt"] == row["runs"] == "2" for row in rows)
+
+
+def test_run_on_a_split_cluster_exits_with_error(tmp_path, capsys):
+    # cluster {1, 3} is joined only through vertex 2 of the other cluster
+    split = tmp_path / "split.cluspt"
+    split.write_text(
+        "DIMENSION: 3\nCLUSTERS: 2\nSOURCE: 1\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
+        "EDGE_SECTION\n1 2 1\n2 3 1\nCLUSTER_SECTION\n1 1 3 -1\n2 2 -1\nEOF\n"
+    )
+    argv = ["run", "--problem", f"cluspt:{split}", "--tasks", "1", "--pop", "4"]
+    assert main(argv + ["--max-evals", "50", "--runs", "1"]) == 2
+    assert capsys.readouterr().err == "error: induced subgraph of cluster 1 is not connected\n"
+
+
+def test_run_on_a_one_vertex_instance_prints_one_row(tmp_path, capsys):
+    # a one-vertex EXPLICIT instance has no edges and needs no EDGE_SECTION
+    one = tmp_path / "one.cluspt"
+    one.write_text(
+        "DIMENSION: 1\nCLUSTERS: 1\nSOURCE: 1\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
+        "CLUSTER_SECTION\n1 1 -1\nEOF\n"
+    )
+    argv = ["run", "--problem", f"cluspt:{one}", "--tasks", "1", "--pop", "4"]
+    assert main(argv + ["--max-evals", "50", "--runs", "1"]) == 0
+    header, *rows = printed_table(capsys.readouterr().out)
+    assert header == HEADER
+    assert len(rows) == 1
+
+
 def test_out_path_that_is_a_file_exits_with_error(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pathlib
 import random
@@ -101,6 +102,8 @@ def test_parse_euclidean_weights_round_to_nearest_int():
         ({"cluster_lines": ["1 1 2 -1", "2 3 4"]}, "must be"),
         # no EDGE_SECTION, and n - 1 = 2 edges are needed
         ({"dimension": 3, "edges": [], "cluster_lines": ["1 1 2 -1", "2 3 -1"]}, "cannot join"),
+        ({"clusters": 0}, "^line 3: CLUSTERS must be >= 1$"),
+        ({"cluster_lines": ["1 1 2 -1", "3 3 4 -1"]}, r"^line 12: cluster id 3 outside 1\.\.2$"),
     ],
 )
 def test_parse_errors(mutation, fragment):
@@ -146,6 +149,24 @@ def test_parse_rejects_data_in_the_section_the_weight_type_ignores():
     text = build().replace("EDGE_SECTION", "NODE_COORD_SECTION\n1 0 0\nEDGE_SECTION")
     with pytest.raises(InstanceFormatError, match="line 7: NODE_COORD_SECTION line '1 0 0'"):
         cluspt.parse_instance(text)
+
+
+def test_parse_rejects_an_unsupported_weight_type():
+    text = build().replace("EXPLICIT", "GEO")
+    with pytest.raises(InstanceFormatError, match="^line 5: unsupported EDGE_WEIGHT_TYPE 'GEO'$"):
+        cluspt.parse_instance(text)
+
+
+@pytest.mark.parametrize(
+    "coord_lines, message",
+    [
+        (["1 0 0", "2 x 4"], "line 8: bad coordinate line '2 x 4'"),
+        (["1 0 0", "1 3 4"], "line 8: duplicate coordinates for vertex 1"),
+    ],
+)
+def test_parse_rejects_bad_coordinate_lines(coord_lines, message):
+    with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
+        cluspt.parse_instance(euc_text(coord_lines))
 
 
 def test_parse_rejects_overflowing_distance():
@@ -254,6 +275,50 @@ def test_a_disconnected_graph_fails_when_built(edges, clusters, source, message)
         cluspt.ClusteredGraph(
             name="d", n=3, adjacency=adjacency, clusters=clusters, source=source
         )
+
+
+@pytest.mark.parametrize(
+    "n, adjacency, message",
+    [
+        (2, {0: {1: 1.0}}, "vertices [2] have no adjacency row"),
+        (2, {0: {1: 1.0}, 1: {0: 1.0}, 2: {}}, "adjacency rows [3] outside 1..2"),
+        (3, {0: {1: 1.0}, 1: {2: 1.0}, 2: {}}, "edge 1-2 has no reverse 2-1"),
+        (2, {0: {1: 1.0}, 1: {0: 1.0, 2: 1.0}}, "edge 2-3 leaves 1..2"),
+        (2, {0: {1: 1.0}, 1: {0: 2.0}}, "edge 1-2 weighs 1.0 one way, 2.0 back"),
+    ],
+    ids=["missing", "stray", "one-way", "outside", "asymmetric"],
+)
+def test_a_malformed_adjacency_fails_when_built(n, adjacency, message):
+    # the decoder reads the adjacency unchecked, so it is checked when built
+    with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
+        cluspt.ClusteredGraph(
+            name="a", n=n, adjacency=adjacency, clusters=[tuple(range(n))], source=0
+        )
+
+
+def test_a_graph_built_with_unsorted_clusters_decodes_as_sorted():
+    # growth breaks priority ties by the order of a cluster's tuple; a graph
+    # sorts its clusters, so a hand-built one decodes as a parsed one
+    weights = {(0, 1): 1, (0, 2): 5, (0, 3): 6, (1, 2): 2, (2, 3): 3, (1, 3): 4}
+    adjacency = {v: {} for v in range(4)}
+    for (u, v), w in weights.items():
+        adjacency[u][v] = adjacency[v][u] = w
+
+    def graph(clusters):
+        return cluspt.ClusteredGraph(
+            name="u", n=4, adjacency=adjacency, clusters=clusters, source=0
+        )
+
+    unsorted = graph([(0,), (3, 2, 1)])
+    assert unsorted.clusters == [(0,), (1, 2, 3)]
+    assert cluspt.decode(unsorted, [0, 0, 0, 0]).parent == [None, 0, 1, 2]
+    for layout in ([(0,), (3, 2, 1)], [(3, 0, 2, 1)], [(2, 1, 0), (3,)]):
+        unsorted = graph(layout)
+        ordered = graph([tuple(sorted(c)) for c in layout])
+        for genotype in itertools.product(range(2), repeat=4):
+            got, want = cluspt.decode(unsorted, genotype), cluspt.decode(ordered, genotype)
+            assert got.parent == want.parent
+            assert cluspt.cost(unsorted, genotype) == cluspt.cost(ordered, genotype)
 
 
 def test_a_one_vertex_explicit_instance_needs_no_edge_section():
@@ -391,6 +456,20 @@ def test_validate_flags_cycles_and_foreign_edges():
     # every arc is a graph edge, but 2 and 3 point at each other
     two_cycle = cluspt.TreeSolution(parent=[None, 0, 3, 2], dist=[0.0] * 4, objective=0.0)
     assert cluspt.validate(g, two_cycle) == ["not a tree: a vertex cannot reach the source"]
+
+
+@pytest.mark.parametrize(
+    "parent, violation",
+    [
+        ([1, 0, 1, 2], "source must have no parent"),
+        ([None, None, 1, 2], "vertex 2 has no parent"),
+        ([None, 0, 7, 2], "vertex 3 has parent outside the graph"),
+        ([None, 0, 1, -1], "vertex 4 has parent outside the graph"),
+    ],
+)
+def test_validate_flags_missing_and_out_of_range_parents(parent, violation):
+    sol = cluspt.TreeSolution(parent=parent, dist=[0.0] * 4, objective=0.0)
+    assert cluspt.validate(load("path4"), sol) == [violation]
 
 
 def test_recompute_objective_rejects_broken_parent_arrays():

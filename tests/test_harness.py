@@ -116,6 +116,8 @@ def test_parse_problem_descriptor():
     ):
         with pytest.raises(ConfigurationError):
             parse_problem_descriptor(bad)
+    with pytest.raises(ConfigurationError, match="^malformed dtf parameter ' m'$"):
+        parse_problem_descriptor("dtf:k=3, m")
     # a repeated key is an error, not a silent overwrite by the later value
     for repeated, key in (("dtf:k=3,m=5,k=4", "k"), ("dtf:m=5, k=3,m=5", "m")):
         with pytest.raises(ConfigurationError, match=f"repeated dtf parameter '{key}'"):
