@@ -16,11 +16,12 @@ import sys
 from .errors import ConfigurationError, InstanceFormatError
 from .harness import (
     ExperimentConfig,
-    parse_problem_descriptor,
+    parse_descriptor,
     run_experiment,
     summarize,
     summary_csv_rows,
 )
+from .mfo import SUCCESS_TOLERANCE
 from .oracle import exhaustive_cluspt, exhaustive_dtf
 from .problems import cluspt
 
@@ -76,11 +77,15 @@ def _cmd_run(options: dict) -> int:
 
 
 def _cmd_oracle(options: dict) -> int:
-    kind, payload = parse_problem_descriptor(options["problem"])
+    kind, payload, optimum = parse_descriptor(options["problem"])
     if kind == "dtf":
         outcome = exhaustive_dtf(payload)
     else:
         outcome = exhaustive_cluspt(cluspt.parse_file(payload))
+    if optimum is not None and abs(optimum - outcome.optimum_cost) > SUCCESS_TOLERANCE:
+        raise ConfigurationError(
+            f"declared optimum {optimum} differs from the enumerated optimum {outcome.optimum_cost}"
+        )
     print(
         f"optimum_cost={outcome.optimum_cost} "
         f"optimum_count={outcome.optimum_count} "

@@ -98,13 +98,12 @@ def parse_problem_descriptor(text: str):
     """Split a descriptor like 'dtf:k=3,m=5' or 'cluspt:path/to.file'.
 
     A CluSPT descriptor may end in ',opt=<x>', the instance's known optimum;
-    it is dropped here and read by resolve_tasks.
+    this drops it, and parse_descriptor returns it as well.
     """
-    kind, payload, _ = _parse_descriptor(text)
-    return kind, payload
+    return parse_descriptor(text)[:2]
 
 
-def _parse_descriptor(text: str):
+def parse_descriptor(text: str):
     """(kind, TrapSpec or instance path, known optimum or None)."""
     kind, sep, rest = text.partition(":")
     if not sep or not rest:
@@ -151,7 +150,7 @@ def resolve_tasks(config: ExperimentConfig):
     descriptors = list(config.problems)
     if len(descriptors) == 1 and config.num_tasks > 1:
         descriptors = descriptors * config.num_tasks
-    parsed = [_parse_descriptor(d) for d in descriptors]
+    parsed = [parse_descriptor(d) for d in descriptors]
     kinds = {kind for kind, _, _ in parsed}
     if len(kinds) > 1:
         raise ConfigurationError(

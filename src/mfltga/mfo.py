@@ -53,7 +53,7 @@ class TaskDefinition:
         bytearray when the shared alphabet has at most 256 letters, else a
         list, and must neither modify nor keep it: when the genotype is
         exactly `dimension` genes long the objective receives the live
-        genotype, which tree crossover then swaps in place.
+        genotype, which mutation may later write in place.
     known_optimum : optimal cost if known (enables success accounting); None or
         a finite real number, by the rule the ledger applies to costs.
     """

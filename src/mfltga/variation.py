@@ -6,11 +6,9 @@ The parent whose task lost the coin is listed as the pair's backup, a report
 of mixed pairs only: it survives, if at all, as a current member.  Offspring
 are charged only on the selected task, through ``mfo.task_cost``; their skill
 factors are left to the next ranking.
-Crossover walks the selected task's crossover masks in order, swapping
-each mask in place between the working pair and undoing the swap unless a
-child strictly beats both current parents on the selected task.  A mask on
-which the pair agrees at every gene is skipped: its swap would change
-neither child, so it costs no evaluation.
+Crossover walks the selected task's crossover masks in order; each mask's
+two children, built by copy, replace the working pair only if one strictly
+beats both current costs on the selected task (see ``tree_crossover``).
 Pairs that survive a whole traversal unimproved accumulate punishment; past
 the threshold the pair is replaced by fresh random individuals.
 Mutation, a per-gene reset of each offspring, is not part of LTGA and runs
@@ -54,15 +52,15 @@ def tree_crossover(
 ):
     """Greedy mask-swap traversal of task tid's crossover masks for one pair.
 
-    Each mask's genes are swapped in place between the working copies of the
-    parents and both are evaluated on the task; the swap is kept only when one
-    child strictly beats both current costs, else it is swapped back.  A mask
-    that meets none of the positions where the pair differs is skipped with
-    no swap and no evaluation; swaps only exchange values, so that set of
-    positions is the same for the whole traversal.  If no swap is kept the
-    pair's counter (the larger parent punish value) grows, and past max_p the
-    pair restarts from two fresh random individuals.  Both offspring carry the
-    resulting counter.
+    Each mask builds two children, copies of the current pair with the mask's
+    genes taken from the other side, evaluated on the task; they become the
+    pair only when one strictly beats both current costs.  No genotype is
+    written here once built, so parents and evaluated genotypes never change.
+    A mask that meets none of the positions where the pair differs costs no
+    evaluation; children only exchange values, so those positions stay fixed
+    for the whole traversal.  If no children are kept the pair's counter (the
+    larger parent punish value) grows, and past max_p the pair restarts from
+    two fresh random individuals.  Both offspring carry the resulting counter.
     """
     idx = tid - 1
     off_i, off_j = (
@@ -78,23 +76,21 @@ def tree_crossover(
     for mask in masks:
         if agrees_on(mask):
             continue
+        ci, cj = gi.copy(), gj.copy()
         for g in mask:
-            gi[g], gj[g] = gj[g], gi[g]
-        new_i = evaluate(gi, tid)
-        new_j = evaluate(gj, tid)
+            ci[g], cj[g] = gj[g], gi[g]
+        new_i = evaluate(ci, tid)
+        new_j = evaluate(cj, tid)
         if new_i < best or new_j < best:
+            gi, gj = ci, cj
             cost_i, cost_j = new_i, new_j
             best = min(new_i, new_j)
             improved = True
-        else:
-            for g in mask:
-                gi[g], gj[g] = gj[g], gi[g]
     if improved:
         n_p = 0
         # changed genotypes hold a cost on the selected task only
-        for off, cost in ((off_i, cost_i), (off_j, cost_j)):
-            off.factorial_costs = [None] * len(ledger.tasks)
-            off.factorial_costs[idx] = cost
+        off_i, off_j = (Individual(g, [None] * len(ledger.tasks)) for g in (gi, gj))
+        off_i.factorial_costs[idx], off_j.factorial_costs[idx] = cost_i, cost_j
     else:
         n_p = max(parent_i.punish, parent_j.punish) + 1
         if n_p > max_p:

@@ -242,6 +242,24 @@ def test_oracle_subcommand_cluspt(capsys):
     assert "optimum_count=2" in out
 
 
+@pytest.mark.parametrize("opt", ["22", "22.0000000001"])
+def test_oracle_accepts_a_declared_optimum_it_enumerates(opt, capsys):
+    rings6 = INSTANCES / "rings6.cluspt"
+    assert main(["oracle", "--problem", f"cluspt:{rings6}"]) == 0
+    plain = capsys.readouterr()
+    assert main(["oracle", "--problem", f"cluspt:{rings6},opt={opt}"]) == 0
+    assert capsys.readouterr() == plain
+
+
+@pytest.mark.parametrize("opt", ["5", "21.99999999"])
+def test_oracle_rejects_a_declared_optimum_it_does_not_enumerate(opt, capsys):
+    rings6 = INSTANCES / "rings6.cluspt"
+    assert main(["oracle", "--problem", f"cluspt:{rings6},opt={opt}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: declared optimum {float(opt)} differs from the enumerated optimum 22.0\n"
+
+
 def test_bad_descriptor_exits_with_error(capsys):
     assert main(["oracle", "--problem", "spin:j=2"]) == 2
     err = capsys.readouterr().err

@@ -161,7 +161,7 @@ def test_tree_crossover_stagnation_increments_punishment():
         pop.members[0], pop.members[1], paired_masks(), 1, 10, ScriptedRandom(), pop.ledger
     )
     assert off_i.punish == 5 and off_j.punish == 5
-    # no swap was kept, so the working pair still mirrors the parents
+    # no children were kept, so the offspring hold copies of the parents' genotypes
     assert off_i.genotype == [0, 1, 0, 1]
     assert off_j.genotype == [1, 0, 1, 0]
 
@@ -207,6 +207,49 @@ def test_tree_crossover_leaves_parents_and_sets_offspring_costs():
     assert off_i.factorial_costs is not pa.factorial_costs
     # working copies carry no skill factor; mating sets it
     assert off_i.skill_factor is None and off_j.skill_factor is None
+
+
+def test_tree_crossover_writes_no_genotype_it_has_evaluated():
+    # the ledger hands the objective the live genotype when it is exactly the
+    # task's length, so every object seen must still hold what it held then
+    seen = []
+
+    def keeping(genes):
+        seen.append((genes, bytes(genes)))
+        return float(sum(genes))
+
+    tasks = [TaskDefinition(task_id=1, dimension=6, alphabet_size=2, objective=keeping)]
+    ledger = EvalLedger(tasks)
+    rng = random.Random(3)
+    masks = build_tree([[rng.randrange(2) for _ in range(6)] for _ in range(8)]).crossover_masks()
+    kept = 0
+    for _ in range(20):
+        pa, pb = (
+            Individual(bytearray(rng.randrange(2) for _ in range(6)), [None]) for _ in range(2)
+        )
+        off_i, _ = tree_crossover(pa, pb, masks, 1, 10, rng, ledger)
+        kept += off_i.punish == 0
+    assert 0 < kept < 20
+    assert len(seen) > 40
+    assert all(bytes(genes) == held for genes, held in seen)
+
+
+@pytest.mark.parametrize(
+    "task, punish", [(sum_task(1), 0), (flat_task(1), 1)], ids=["kept", "not kept"]
+)
+def test_mutating_offspring_leaves_the_parents(task, punish):
+    # mutate writes an offspring's genotype in place, on both the kept-swap
+    # and the no-kept-swap branch
+    ledger = EvalLedger([task])
+    pa = Individual(bytearray([1, 1, 0, 0]), [None])
+    pb = Individual(bytearray([0, 0, 1, 1]), [None])
+    offspring = tree_crossover(pa, pb, paired_masks(), 1, 10, ScriptedRandom(), ledger)
+    assert all(off.punish == punish for off in offspring)
+    for off in offspring:
+        flips = [1 - g for g in off.genotype]
+        mutate(off, 1.0, ScriptedRandom(randoms=[0.0] * 4, randranges=flips), alphabet_size=2)
+        assert list(off.genotype) == flips
+    assert (pa.genotype, pb.genotype) == (bytearray([1, 1, 0, 0]), bytearray([0, 0, 1, 1]))
 
 
 def test_mutate_rate_zero_is_identity():

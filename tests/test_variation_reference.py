@@ -1,11 +1,14 @@
 """tree_crossover against the reference copy in variation_reference.py.
 
-The in-place swap with undo must leave the same offspring, the same best
-costs and the same RNG state as the former candidate-building traversal,
-over seeded pairs on one to three tasks of mixed dimensions, with kept swaps,
-stagnation and restarts all exercised.  The reference evaluates both children
-of every mask; tree_crossover skips a mask on which the parents agree at
-every gene, so its ledger counts exactly two evaluations fewer per such mask.
+Building each mask's two children by copy must leave the same offspring, the
+same best costs and the same RNG state as the former candidate-building
+traversal, over seeded pairs on one to three tasks of mixed dimensions, with
+kept swaps, stagnation and restarts all exercised.  Genotypes take the type
+the engine gives them: even cases draw alphabets of 2-4 letters and run on
+bytearrays, odd cases lift them past 256 letters and run on lists.  The
+reference evaluates both children of every mask; tree_crossover skips a mask
+on which the parents agree at every gene, so its ledger counts exactly two
+evaluations fewer per such mask.
 """
 import copy
 import random
@@ -15,7 +18,13 @@ import pytest
 
 import variation_reference
 from mfltga.linkage import build_tree
-from mfltga.mfo import EvalLedger, Individual, TaskDefinition, unified_alphabet
+from mfltga.mfo import (
+    EvalLedger,
+    Individual,
+    TaskDefinition,
+    random_genotype,
+    unified_alphabet,
+)
 from mfltga.variation import tree_crossover
 
 
@@ -33,8 +42,7 @@ def rugged_task(task_id, dimension, alphabet, seed):
 
 def random_parent(tasks, selected, max_p, rng):
     """Parent with costs on a random subset of tasks, sometimes none on the selected one."""
-    dim = max(t.dimension for t in tasks)
-    genes = [rng.randrange(unified_alphabet(tasks)) for _ in range(dim)]
+    genes = random_genotype(tasks, rng)
     costs = [
         t.objective(genes[: t.dimension]) if rng.random() < 0.5 else None for t in tasks
     ]
@@ -65,8 +73,9 @@ def test_tree_crossover_matches_the_reference(num_tasks, max_p):
     rng = random.Random(1000 * num_tasks + max_p)
     outcomes = Counter()
     for case in range(60):
+        lift = 255 * (case % 2)
         tasks = [
-            rugged_task(tid, rng.randrange(3, 13), rng.randrange(2, 5), rng.random())
+            rugged_task(tid, rng.randrange(3, 13), rng.randrange(2, 5) + lift, rng.random())
             for tid in range(1, num_tasks + 1)
         ]
         task = rng.choice(tasks)
@@ -89,11 +98,15 @@ def test_tree_crossover_matches_the_reference(num_tasks, max_p):
         masks = tree.crossover_masks()
         new = tree_crossover(pi, pj, masks, tid, max_p, new_rng, new_ledger)
 
+        kind = bytearray if lift == 0 else list
+        assert all(type(p.genotype) is kind for p in parents)
         for got, want in zip(new, ref):
-            assert got.genotype == want.genotype
+            assert type(got.genotype) is kind
+            assert list(got.genotype) == list(want.genotype)
             assert got.factorial_costs == want.factorial_costs
             assert got.punish == want.punish
-            assert got == want
+            assert got.skill_factor is want.skill_factor is None
+            assert got.genotype is not pi.genotype and got.genotype is not pj.genotype
         assert new_ledger.best == ref_ledger.best
         assert new_rng.getstate() == ref_rng.getstate()
         assert [pi, pj] == parents
@@ -115,7 +128,8 @@ def test_tree_crossover_matches_the_reference(num_tasks, max_p):
         elif new[0].punish > 0:
             outcomes["stagnation"] += 1
         else:
-            outcomes["kept swap"] += 1
-    assert outcomes["kept swap"] > 0 and outcomes["restart"] > 0
+            outcomes["kept swap", kind] += 1
+    assert outcomes["kept swap", bytearray] > 0 and outcomes["kept swap", list] > 0
+    assert outcomes["restart"] > 0
     assert outcomes["skipped masks"] > 0
     assert (outcomes["stagnation"] > 0) == (max_p > 0)
