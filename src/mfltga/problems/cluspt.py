@@ -33,8 +33,9 @@ regrown: a cluster's entry is its tree rooted at its seed, and the
 cluster-level entry is the tree of clusters, each reached through the
 concrete edge it is entered by.  A decode re-roots each cluster's tree at its
 entry vertex to orient everything away from the source; decoding gives the
-same tree either way.  The task objective is ``cost``, which adds per-cluster
-distance sums kept on the memo entries instead of decoding vertex by vertex.
+same tree either way.  ``decode`` returns that tree as a parent array; the
+task objective is ``cost``, which adds per-cluster distance sums kept on the
+memo entries and builds no parent array.
 """
 from __future__ import annotations
 
@@ -188,8 +189,6 @@ class TreeSolution:
     """Spanning tree as a parent array oriented away from the source."""
 
     parent: list  # parent[v] is None for the source
-    dist: list
-    objective: float
 
 
 def _nint(x: float) -> int:
@@ -529,53 +528,36 @@ def decode(g: ClusteredGraph, genotype) -> TreeSolution:
     cluster, a cluster's priority being that of its lowest-id vertex, and each
     cluster-level edge is realized as the minimum-weight concrete edge between
     the two clusters (ties by lower endpoint ids).  The result is oriented
-    away from the source.
-
-    A grown tree depends only on its key, the priorities it reads (a
-    cluster's own vertices, or every cluster's lowest-id vertex), so the
-    trees of recent keys are kept in ``g.memo`` and regrown only on a miss;
-    a cluster's tree depends only on its priority order, so that is tried
-    before regrowing (``_lookup``).  The clusters partition the vertices,
-    and they and the graph are connected (``ClusteredGraph`` checks this
-    when built), so the trees span the graph.
-
-    A cluster's entry holds its tree rooted at its seed.  The cluster-level
-    entry is the tree of clusters grown from the source's, which maps each
-    other cluster, top-down, to its link (w, tree-side cluster, entry vertex,
-    outside vertex).  The source's cluster is entered at the source.  Each
-    cluster is re-rooted at its entry vertex by reversing the path from there
-    to the seed; its other vertices keep their seed-side parents.  Every
-    distance is the one addition ``dist[parent] + w`` along the unique tree
-    path from the source, the same sums in the same order however the trees
-    were memoized, so the result is bit-equal whatever the weights.
+    away from the source: the cluster-level tree maps each other cluster,
+    top-down, to its link (w, tree-side cluster, entry vertex, outside
+    vertex), the source's cluster is entered at the source, and each
+    cluster's memoized tree is re-rooted at its entry vertex.  The clusters
+    partition the vertices, and they and the graph are connected
+    (``ClusteredGraph`` checks this when built), so the trees span the graph.
     """
     entries, tops = _lookup(g, genotype)
     parent = [None] * g.n
-    dist = [None] * g.n
-    dist[g.source] = 0.0
     for c, link in tops.items():
         if link is None:
             x = g.source
         else:
-            w, _, x, outside = link
+            _, _, x, outside = link
             parent[x] = outside
-            dist[x] = dist[outside] + w
-        for v, w, p in _rerooted(entries[c][0], x):
+        for v, _, p in _rerooted(entries[c][0], x):
             parent[v] = p
-            dist[v] = dist[p] + w
-    return TreeSolution(parent=parent, dist=dist, objective=float(sum(dist)))
+    return TreeSolution(parent)
 
 
 def cost(g: ClusteredGraph, genotype) -> float:
-    """The objective of decode(g, genotype), without its per-vertex pass.
+    """The sum of source distances over the tree decode(g, genotype) builds.
 
     A cluster C entered at x adds |C|·dist(x) + S, where S sums the tree
     distances from x inside C.  x's cluster hangs from vertex y of an earlier
     cluster entered at z, so dist(x) = dist(z) + the tree distance from z to
     y + the link weight.  S and the distances from x are kept on C's memo
     entry, so a memoized evaluation costs a few steps per cluster.  The sums
-    are float sums, as decode's are, but in another order: equal while the
-    weights and sums are whole numbers below 2**53, within rounding else.
+    run per cluster, not along each tree path from the source: exact while
+    the weights and sums are whole numbers below 2**53, within rounding else.
     """
     entries, tops = _lookup(g, genotype)
     clusters = g.clusters

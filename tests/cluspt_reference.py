@@ -3,8 +3,10 @@
 ``_grow_cluster_tree``, ``_connect_clusters`` and ``decode`` are kept as they
 were, rescanning adjacency and every cluster pair at each step; the one
 adaptation is ``_cluster_of``, the former ``ClusteredGraph.cluster_of`` body,
-since the graph now exposes the table as ``owner``.  Nothing under ``src/``
-imports this module.
+since the graph now exposes the table as ``owner``.  ``decode`` returns its
+own ``(parent, dist, objective)`` tuple rather than the package's solution
+type, so a change to that type cannot reshape the reference.  Nothing under
+``src/`` imports this module.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import math
 from collections import deque
 
 from mfltga.errors import ConfigurationError, InvalidStateError
-from mfltga.problems.cluspt import ClusteredGraph, TreeSolution
+from mfltga.problems.cluspt import ClusteredGraph
 
 
 def _cluster_of(g: ClusteredGraph) -> list:
@@ -95,8 +97,12 @@ def _connect_clusters(g: ClusteredGraph, prio):
     return edges
 
 
-def decode(g: ClusteredGraph, genotype) -> TreeSolution:
-    """Decode a priority vector into a feasible clustered spanning tree."""
+def decode(g: ClusteredGraph, genotype) -> tuple:
+    """Decode a priority vector into a feasible clustered spanning tree.
+
+    Returns (parent, dist, objective): the tree oriented away from the
+    source, each vertex's distance from the source along it, and their sum.
+    """
     if len(genotype) < g.n:
         raise ConfigurationError(
             f"genotype length {len(genotype)} is shorter than vertex count {g.n}"
@@ -127,4 +133,4 @@ def decode(g: ClusteredGraph, genotype) -> TreeSolution:
                 queue.append(v)
     if len(seen) != g.n:
         raise InvalidStateError("decoded edge set does not span the graph")
-    return TreeSolution(parent=parent, dist=dist, objective=float(sum(dist)))
+    return parent, dist, float(sum(dist))

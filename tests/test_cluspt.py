@@ -326,7 +326,8 @@ def test_a_one_vertex_explicit_instance_needs_no_edge_section():
     assert "EDGE_SECTION" not in text
     g = cluspt.parse_instance(text)
     assert (g.n, g.clusters, g.source) == (1, [(0,)], 0)
-    assert cluspt.decode(g, [0]).objective == cluspt.cost(g, [0]) == 0.0
+    assert cluspt.decode(g, [0]).parent == [None]
+    assert cluspt.cost(g, [0]) == 0.0
     assert exhaustive_cluspt(g).optimum_cost == 0.0
 
 
@@ -350,11 +351,8 @@ def test_decode_is_deterministic():
     rng = random.Random(5)
     for _ in range(50):
         genotype = [rng.randrange(g.n) for _ in range(g.n)]
-        a = cluspt.decode(g, genotype)
-        b = cluspt.decode(g, genotype)
-        assert a.parent == b.parent
-        assert a.dist == b.dist
-        assert a.objective == b.objective
+        assert cluspt.decode(g, genotype).parent == cluspt.decode(g, genotype).parent
+        assert cluspt.cost(g, genotype) == cluspt.cost(g, genotype)
 
 
 def test_decode_rejects_short_genotype():
@@ -372,9 +370,8 @@ def test_decode_output_is_valid_and_objective_recomputes():
             genotype = [rng.randrange(g.n) for _ in range(g.n)]
             sol = cluspt.decode(g, genotype)
             assert cluspt.validate(g, sol) == []
-            assert sol.objective == float(sum(sol.dist))
-            assert sol.objective == cluspt.recompute_objective(g, sol.parent)
-            assert sol.dist[g.source] == 0.0
+            # integer weights: the cost is exact
+            assert cluspt.cost(g, genotype) == cluspt.recompute_objective(g, sol.parent)
             assert sol.parent[g.source] is None
             assert sum(p is not None for p in sol.parent) == g.n - 1
 
@@ -392,9 +389,9 @@ def test_decode_single_cluster_star():
     g = cluspt.parse_instance(text)
     rng = random.Random(1)
     for _ in range(40):
-        sol = cluspt.decode(g, [rng.randrange(n) for _ in range(n)])
-        assert sol.objective == n - 1
-        assert all(p == 0 for v, p in enumerate(sol.parent) if v != 0)
+        genotype = [rng.randrange(n) for _ in range(n)]
+        assert cluspt.decode(g, genotype).parent == [None] + [0] * (n - 1)
+        assert cluspt.cost(g, genotype) == n - 1
 
 
 def test_decode_forced_path_distances():
@@ -403,17 +400,15 @@ def test_decode_forced_path_distances():
         "EDGE_WEIGHT_TYPE: EXPLICIT\nEDGE_SECTION\n1 2 1\n2 3 1\n"
         "CLUSTER_SECTION\n1 1 2 3 -1\nEOF\n"
     )
-    sol = cluspt.decode(g, [0, 0, 0])
-    assert sol.dist == [0.0, 1.0, 2.0]
-    assert sol.objective == 3.0
+    assert cluspt.decode(g, [0, 0, 0]).parent == [None, 0, 1]
+    assert cluspt.cost(g, [0, 0, 0]) == 3.0
 
 
 def test_decode_all_equal_priorities_on_path4():
     # ties resolve by vertex id: trees and objective are fixed by hand
     g = load("path4")
-    sol = cluspt.decode(g, [0, 0, 0, 0])
-    assert sol.parent == [None, 0, 1, 2]
-    assert sol.objective == 6.0
+    assert cluspt.decode(g, [0, 0, 0, 0]).parent == [None, 0, 1, 2]
+    assert cluspt.cost(g, [0, 0, 0, 0]) == 6.0
 
 
 def test_doubling_weights_doubles_objective():
@@ -428,7 +423,8 @@ def test_doubling_weights_doubles_objective():
     rng = random.Random(9)
     for _ in range(60):
         genotype = [rng.randrange(g.n) for _ in range(g.n)]
-        assert cluspt.decode(doubled, genotype).objective == 2 * cluspt.decode(g, genotype).objective
+        assert cluspt.decode(doubled, genotype).parent == cluspt.decode(g, genotype).parent
+        assert cluspt.cost(doubled, genotype) == 2 * cluspt.cost(g, genotype)
 
 
 def test_validate_flags_cross_cluster_detour():
@@ -440,21 +436,21 @@ def test_validate_flags_cross_cluster_detour():
     )
     g = cluspt.parse_instance(text)
     # vertices 3 and 4 both hang off cluster 1, with no 3-4 edge in the tree
-    bad = cluspt.TreeSolution(parent=[None, 0, 1, 0], dist=[0.0, 1.0, 2.0, 1.0], objective=4.0)
+    bad = cluspt.TreeSolution(parent=[None, 0, 1, 0])
     violations = cluspt.validate(g, bad)
     assert any("cluster 2" in v for v in violations)
 
 
 def test_validate_flags_cycles_and_foreign_edges():
     g = load("path4")
-    cyclic = cluspt.TreeSolution(parent=[None, 2, 1, 2], dist=[0.0] * 4, objective=0.0)
+    cyclic = cluspt.TreeSolution(parent=[None, 2, 1, 2])
     assert any("source" in v or "tree" in v for v in cluspt.validate(g, cyclic))
-    foreign = cluspt.TreeSolution(parent=[None, 0, 0, 2], dist=[0.0] * 4, objective=0.0)
+    foreign = cluspt.TreeSolution(parent=[None, 0, 0, 2])
     assert any("not in the graph" in v for v in cluspt.validate(g, foreign))
-    short = cluspt.TreeSolution(parent=[None, 0], dist=[0.0, 1.0], objective=1.0)
+    short = cluspt.TreeSolution(parent=[None, 0])
     assert cluspt.validate(g, short) != []
     # every arc is a graph edge, but 2 and 3 point at each other
-    two_cycle = cluspt.TreeSolution(parent=[None, 0, 3, 2], dist=[0.0] * 4, objective=0.0)
+    two_cycle = cluspt.TreeSolution(parent=[None, 0, 3, 2])
     assert cluspt.validate(g, two_cycle) == ["not a tree: a vertex cannot reach the source"]
 
 
@@ -468,7 +464,7 @@ def test_validate_flags_cycles_and_foreign_edges():
     ],
 )
 def test_validate_flags_missing_and_out_of_range_parents(parent, violation):
-    sol = cluspt.TreeSolution(parent=parent, dist=[0.0] * 4, objective=0.0)
+    sol = cluspt.TreeSolution(parent=parent)
     assert cluspt.validate(load("path4"), sol) == [violation]
 
 
@@ -488,7 +484,8 @@ def test_make_task_defaults():
     assert task.alphabet_size == 6
     assert task.known_optimum == 22.0
     genotype = [0] * 6
-    assert task.objective(genotype) == cluspt.decode(g, genotype).objective
+    parent = cluspt.decode(g, genotype).parent
+    assert task.objective(genotype) == cluspt.recompute_objective(g, parent)
 
 
 def test_a_cost_past_the_float_range_is_infinite_as_decoded():
@@ -501,7 +498,8 @@ def test_a_cost_past_the_float_range_is_infinite_as_decoded():
     )
     g = cluspt.parse_instance(text)
     for genotype in ([0, 1, 2], [2, 1, 0]):
-        assert cluspt.cost(g, genotype) == cluspt.decode(g, genotype).objective == math.inf
+        parent = cluspt.decode(g, genotype).parent
+        assert cluspt.cost(g, genotype) == cluspt.recompute_objective(g, parent) == math.inf
 
 
 def test_euclidean_single_vertex_clusters_reduce_to_shortest_path_like_tree():
@@ -519,5 +517,5 @@ def test_euclidean_single_vertex_clusters_reduce_to_shortest_path_like_tree():
         sol = cluspt.decode(g, genotype)
         assert cluspt.validate(g, sol) == []
         assert sol.parent[g.source] is None
-        assert math.isfinite(sol.objective)
-        assert cluspt.cost(g, genotype) == sol.objective
+        assert math.isfinite(cluspt.cost(g, genotype))
+        assert cluspt.cost(g, genotype) == cluspt.recompute_objective(g, sol.parent)
