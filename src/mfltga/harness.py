@@ -25,6 +25,7 @@ configuration and per-run seeds.  The csv module writes both tables, None
 from __future__ import annotations
 
 import bisect
+import contextlib
 import csv
 import dataclasses
 import itertools
@@ -284,9 +285,19 @@ def summary_csv_rows(table: SummaryTable):
         yield dataclasses.astuple(row)
 
 
+@contextlib.contextmanager
+def _writing(path, newline=None):
+    """A text handle on path; an OSError opening or writing it is a ConfigurationError."""
+    try:
+        with open(path, "w", newline=newline, encoding="utf-8") as handle:
+            yield handle
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {os.fspath(path)!r}: {exc}") from exc
+
+
 def write_csv(path, rows) -> None:
     """Write rows to path; csv.writer puts None as an empty field and a float by its repr."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with _writing(path, newline="") as handle:
         csv.writer(handle).writerows(rows)
 
 
@@ -313,7 +324,10 @@ def read_summary_csv(path) -> SummaryTable:
 
 
 def write_outputs(result: ExperimentResult) -> None:
-    """Emit summary.csv, trace_<run>.csv and config.json into the out_path directory."""
+    """Emit summary.csv, trace_<run>.csv and config.json into the out_path directory.
+
+    A file that cannot be written raises ConfigurationError naming it.
+    """
     out = result.config.out_path
     if out is None:
         return
@@ -335,7 +349,7 @@ def write_outputs(result: ExperimentResult) -> None:
     payload["instances"] = list(result.labels)
     payload["run_seeds"] = [result.config.run_seed(r) for r in range(result.config.runs)]
     payload["seed_policy"] = "run r uses seed = base_seed XOR r"
-    with open(os.path.join(out, "config.json"), "w", encoding="utf-8") as handle:
+    with _writing(os.path.join(out, "config.json")) as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
 

@@ -48,25 +48,22 @@ def objective(spec: TrapSpec):
     `bits` of another type, or of the wrong length, raises ConfigurationError
     saying so, and so does a byte other than 0 or 1, naming the first one: x
     shares a bit with `high` (0xfe in every byte) exactly when such a byte is
-    there.  The ones are x.bit_count().  For the all-ones blocks, log-step
-    ANDs `run &= run >> 8s` (s = 1, 2, 4, ... while 2s <= k, then one tail
-    shift of k minus the span so far) leave byte i of run set exactly when
-    bytes i..i+k-1 are all ones; `starts` keeps each block's first byte, and
-    its bit count is the number of all-ones blocks.  The function binds k,
-    m, `high`, `starts` and the shifts once; a task keeps it as its objective.
+    there.  The ones are x.bit_count().  Block j is the k-byte field of x
+    at bits 8jk..8jk+8k-1, holding v <= rep = sum of 256**i for i < k, with
+    equality only when the block is all ones.  Adding top - rep, where top =
+    1 << (8k - 1), sets the field's top bit exactly when v = rep and never
+    carries out of the field, as v + top - rep <= top.  `lift` adds that to
+    every field at once and `flags` keeps the top bits, so the bit count of
+    (x + lift) & flags is the number of all-ones blocks.  The function binds
+    k, m, `high`, `lift` and `flags` once; a task keeps it as its objective.
     """
     k, m = spec.block_size, spec.num_blocks
     length = k * m
     high = int.from_bytes(b"\xfe" * length, "little")
     starts = int.from_bytes(b"\x01".ljust(k, b"\x00") * m, "little")
-    shifts = []
-    span = 1
-    while 2 * span <= k:
-        shifts.append(8 * span)
-        span *= 2
-    if span < k:
-        shifts.append(8 * (k - span))
-    shifts = tuple(shifts)
+    top = 1 << (8 * k - 1)
+    rep = int.from_bytes(b"\x01" * k, "little")
+    lift, flags = (top - rep) * starts, top * starts
 
     def cost(bits) -> int:
         if type(bits) is not bytearray:
@@ -79,10 +76,7 @@ def objective(spec: TrapSpec):
         if x & high:
             pos = length - len(bits.lstrip(b"\x00\x01"))
             raise ConfigurationError(f"gene {bits[pos]} at position {pos} is not a bit")
-        run = x
-        for shift in shifts:
-            run &= run >> shift
-        return x.bit_count() + m - (k + 1) * (run & starts).bit_count()
+        return x.bit_count() + m - (k + 1) * ((x + lift) & flags).bit_count()
 
     return cost
 

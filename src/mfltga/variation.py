@@ -17,6 +17,8 @@ only at a non-zero rate; the engine's default rate is 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 from typing import Sequence
 
 from .errors import ConfigurationError, InvalidStateError
@@ -55,7 +57,9 @@ def tree_crossover(
     Each mask builds two children, copies of the current pair with the mask's
     genes taken from the other side, evaluated on the task; they become the
     pair only when one strictly beats both current costs.  No genotype is
-    written here once built, so parents and evaluated genotypes never change.
+    written here once built, so parents and evaluated genotypes never change;
+    a parent's missing cost on the task is evaluated on entry and stored only
+    on its offspring.
     A mask that meets none of the positions where the pair differs costs no
     evaluation; children only exchange values, so those positions stay fixed
     for the whole traversal.  If no children are kept the pair's counter (the
@@ -63,15 +67,15 @@ def tree_crossover(
     two fresh random individuals.  Both offspring carry the resulting counter.
     """
     idx = tid - 1
-    off_i, off_j = (
-        Individual(p.genotype.copy(), p.factorial_costs.copy())
-        for p in (parent_i, parent_j)
-    )
-    cost_i, cost_j = task_cost(off_i, tid, ledger), task_cost(off_j, tid, ledger)
-    best = min(cost_i, cost_j)
-    gi, gj = off_i.genotype, off_j.genotype
+    gi, gj = parent_i.genotype, parent_j.genotype
     evaluate = ledger.evaluate
-    agrees_on = {g for g in range(len(gi)) if gi[g] != gj[g]}.isdisjoint
+    cost_i, cost_j = parent_i.factorial_costs[idx], parent_j.factorial_costs[idx]
+    if cost_i is None:
+        cost_i = evaluate(gi, tid)
+    if cost_j is None:
+        cost_j = evaluate(gj, tid)
+    best = min(cost_i, cost_j)
+    agrees_on = set(compress(range(len(gi)), map(ne, gi, gj))).isdisjoint
     improved = False
     for mask in masks:
         if agrees_on(mask):
@@ -99,6 +103,10 @@ def tree_crossover(
             task_cost(off_i, tid, ledger)
             task_cost(off_j, tid, ledger)
             n_p = 0
+        else:
+            off_i = Individual(gi.copy(), parent_i.factorial_costs.copy())
+            off_j = Individual(gj.copy(), parent_j.factorial_costs.copy())
+            off_i.factorial_costs[idx], off_j.factorial_costs[idx] = cost_i, cost_j
     off_i.punish = off_j.punish = n_p
     return off_i, off_j
 

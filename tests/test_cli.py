@@ -170,6 +170,17 @@ def test_out_path_that_is_a_file_exits_with_error(tmp_path, capsys):
     assert err.startswith(f"error: cannot create output directory {str(taken)!r}")
 
 
+@pytest.mark.parametrize("name", ["summary.csv", "trace_0.csv", "config.json"])
+def test_output_file_that_cannot_be_written_exits_with_error(tmp_path, capsys, name):
+    blocked = tmp_path / "out" / name
+    blocked.mkdir(parents=True)
+    argv = ["run", "--problem", "dtf:k=1,m=2", "--pop", "4", "--max-evals", "100"]
+    assert main(argv + ["--runs", "1", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {str(blocked)!r}: ")
+    assert err.count("\n") == 1
+
+
 def captured_config(monkeypatch, argv):
     """The ExperimentConfig `run` builds from argv, without running it."""
     seen = []

@@ -1,8 +1,12 @@
 """Property tests of the trap objective against the oracle's reference cost.
 
 Bit strings are drawn with a random ones-rate, so rates at or near 0 and 1
-make all-zeros and all-ones blocks common.  Block sizes 1..12 cover every
-mix of doubling shifts and a tail shift the all-ones block count can take.  Every string is evaluated as a
+make all-zeros and all-ones blocks common.  The objective counts all-ones
+blocks by adding a constant to each block's k-byte field and reading the
+field's top bit, so block sizes 1..12 are drawn next to 127..300 at small m,
+where a field spans many bytes and its top bit sits past bit 1000; strings
+one gene short of all ones, at the first and at the last position, are the
+closest a field comes to carrying.  Every string is evaluated as a
 bytearray, the engine's genotype, through the task's objective and through a
 fresh ``trap.objective`` of the same spec.  Strings holding non-bit bytes
 must raise an error naming the first one from both.
@@ -18,14 +22,20 @@ from mfltga.errors import ConfigurationError
 from mfltga.oracle import reference_trap_cost
 from mfltga.problems import trap
 
+WIDE_BLOCKS = (127, 128, 129, 255, 256, 300)
+
 
 @st.composite
 def trap_cases(draw):
-    k = draw(st.integers(1, 12))
-    m = draw(st.integers(1, 30))
+    k, m = draw(
+        st.one_of(
+            st.tuples(st.integers(1, 12), st.integers(1, 30)),
+            st.tuples(st.sampled_from(WIDE_BLOCKS), st.integers(1, 3)),
+        )
+    )
     rate = draw(st.floats(0, 1))
-    draws = draw(st.lists(st.floats(0, 1, exclude_max=True), min_size=k * m, max_size=k * m))
-    return k, m, [int(u < rate) for u in draws]
+    draws = draw(st.binary(min_size=k * m, max_size=k * m))
+    return k, m, [int(u < 256 * rate) for u in draws]
 
 
 @settings(max_examples=300, deadline=None)
@@ -39,6 +49,18 @@ def test_evaluate_matches_the_reference_cost(case):
     for cost in (objective(genes), trap.objective(spec)(genes)):
         assert type(cost) is int
         assert cost == expected
+
+
+@pytest.mark.parametrize("k", [*range(1, 13), *WIDE_BLOCKS])
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_one_gene_short_of_all_ones_matches_the_reference_cost(k, m):
+    objective = trap.objective(trap.TrapSpec(k, m))
+    for pos in (0, k * m - 1):
+        bits = [1] * (k * m)
+        bits[pos] = 0
+        cost = objective(bytearray(bits))
+        assert cost == reference_trap_cost(bits, k, m) == k
+    assert objective(bytearray([1] * (k * m))) == 0
 
 
 @settings(max_examples=200, deadline=None)

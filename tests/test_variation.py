@@ -148,8 +148,11 @@ def test_tree_crossover_evaluates_unevaluated_parents_on_entry():
     pa = Individual([0, 1, 0, 1], [None])
     pb = Individual([1, 0, 1, 0], [None])
     masks = paired_masks()
-    tree_crossover(pa, pb, masks, 1, 10, ScriptedRandom(), ledger)
+    off_i, off_j = tree_crossover(pa, pb, masks, 1, 10, ScriptedRandom(), ledger)
     assert ledger.count == 2 + 2 * len(masks)
+    # nothing improves on a flat task: the entry costs go on the offspring only
+    assert off_i.factorial_costs == off_j.factorial_costs == [0.0]
+    assert pa.factorial_costs == pb.factorial_costs == [None]
 
 
 def test_tree_crossover_stagnation_increments_punishment():
@@ -204,7 +207,9 @@ def test_tree_crossover_leaves_parents_and_sets_offspring_costs():
     assert off_j.factorial_costs == [0.0, 3.0]
     assert (pa.genotype, pa.factorial_costs) == ([0, 1, 0, 1], [0.0, 2.0])
     assert (pb.genotype, pb.factorial_costs) == ([1, 1, 1, 0], [0.0, 3.0])
-    assert off_i.factorial_costs is not pa.factorial_costs
+    for off, parent in ((off_i, pa), (off_j, pb)):
+        assert off.genotype is not parent.genotype
+        assert off.factorial_costs is not parent.factorial_costs
     # working copies carry no skill factor; mating sets it
     assert off_i.skill_factor is None and off_j.skill_factor is None
 
