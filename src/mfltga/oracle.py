@@ -77,23 +77,13 @@ def exhaustive_dtf(spec: TrapSpec) -> OracleResult:
     )
 
 
-def _spanning_trees_of_cluster(g: ClusteredGraph, cluster):
-    """All intra-cluster edge subsets forming a spanning tree of the cluster."""
-    members = list(cluster)
-    if len(members) == 1:
-        return [()]
-    inside = set(members)
-    intra = [
-        (u, v)
-        for u in members
-        for v in g.adjacency[u]
-        if u < v and v in inside
+def _trees(edges, vertices):
+    """Every len(vertices) - 1 subset of edges that connects vertices."""
+    return [
+        combo
+        for combo in combinations(edges, len(vertices) - 1)
+        if _connects(combo, vertices)
     ]
-    trees = []
-    for combo in combinations(intra, len(members) - 1):
-        if _connects(combo, members):
-            trees.append(combo)
-    return trees
 
 
 def _connects(edges, vertices) -> bool:
@@ -109,42 +99,34 @@ def exhaustive_cluspt(g: ClusteredGraph) -> OracleResult:
 
     Feasible trees factor into a spanning tree per cluster, a tree over the
     clusters, and one concrete connecting edge per cluster-tree edge; the
-    oracle walks the full cross product.  A built graph and its clusters are
-    connected, so there is always at least one.
+    oracle walks the full cross product.  One helper, _trees, gives both
+    levels: each cluster's trees over its own edges, and the cluster trees
+    over the cluster pairs that some edge joins.  A built graph and its
+    clusters are connected, so there is always at least one.
     """
     if g.n > MAX_CLUSPT_VERTICES:
         raise ConfigurationError(
             f"instance has {g.n} vertices; exhaustive enumeration caps at {MAX_CLUSPT_VERTICES}"
         )
     owner = g.owner
-    per_cluster = [_spanning_trees_of_cluster(g, cluster) for cluster in g.clusters]
-    inter = [
-        (u, v)
-        for u, v, _ in g.edges()
-        if owner[u] != owner[v]
+    joins = {}  # (cluster a, cluster b), a <= b -> the edges between them
+    for u, v, _ in g.edges():
+        joins.setdefault(tuple(sorted((owner[u], owner[v]))), []).append((u, v))
+    per_cluster = [_trees(joins.get((c, c), []), cluster) for c, cluster in enumerate(g.clusters)]
+    pairs = [pair for pair in joins if pair[0] != pair[1]]
+    inter_choices = [
+        connect
+        for cluster_tree in _trees(pairs, range(g.num_clusters))
+        for connect in product(*(joins[pair] for pair in cluster_tree))
     ]
-    k = g.num_clusters
-    if k == 1:
-        inter_choices = [()]
-    else:
-        inter_choices = [
-            combo
-            for combo in combinations(inter, k - 1)
-            if _connects(
-                [(owner[u], owner[v]) for u, v in combo], list(range(k))
-            )
-        ]
-    best = None
-    count = 0
-    examined = 0
+    best, count, examined = float("inf"), 0, 0
     for intra_combo in product(*per_cluster):
         intra_edges = [e for tree in intra_combo for e in tree]
         for connect in inter_choices:
             examined += 1
             cost = _tree_cost(g, intra_edges + list(connect))
-            if best is None or cost < best:
-                best = cost
-                count = 1
+            if cost < best:
+                best, count = cost, 1
             elif cost == best:
                 count += 1
     return OracleResult(optimum_cost=float(best), optimum_count=count, enumerated=examined)

@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 import random
 
@@ -98,16 +99,95 @@ def test_cluspt_oracle_triangle_star():
 
 def test_cluspt_oracle_fixture_goldens():
     goldens = {
-        "path4": (6.0, 1),
-        "rings6": (22.0, 2),
-        "blocks7": (18.0, 2),
-        "euc5": (44.0, 1),
+        "path4": (6.0, 1, 1),
+        "rings6": (22.0, 2, 8),
+        "blocks7": (18.0, 2, 15),
+        "euc5": (44.0, 1, 18),
     }
-    for name, (cost, count) in goldens.items():
+    for name, (cost, count, enumerated) in goldens.items():
         g = cluspt.parse_file(INSTANCES / f"{name}.cluspt")
         res = exhaustive_cluspt(g)
         assert res.optimum_cost == cost, name
         assert res.optimum_count == count, name
+        assert res.enumerated == enumerated, name
+
+
+def random_clustered_graph(rng, n):
+    """A connected graph on n vertices in 1..n connected clusters, weights 1..5.
+
+    Each cluster gets a random spanning path of its own, the clusters a
+    random tree of connecting edges, and every other vertex pair an edge
+    with one density drawn per graph, from sparse to complete.
+    """
+    order = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n), rng.randrange(n)))
+    clusters = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    pairs = {(c[i], c[i + 1]) for c in clusters for i in range(len(c) - 1)}
+    for i in range(1, len(clusters)):
+        pairs.add((rng.choice(clusters[i]), rng.choice(rng.choice(clusters[:i]))))
+    density = rng.random()
+    pairs |= {p for p in itertools.combinations(range(n), 2) if rng.random() < density}
+    adjacency = {v: {} for v in range(n)}
+    for u, v in pairs:
+        adjacency[u][v] = adjacency[v][u] = rng.randint(1, 5)
+    return cluspt.ClusteredGraph(
+        name="random", n=n, adjacency=adjacency, clusters=clusters, source=rng.randrange(n)
+    )
+
+
+def is_tree(edges, vertices):
+    """Union-find: the edges join exactly the given vertices without a cycle."""
+    root = {v: v for v in vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in edges:
+        a, b = find(u), find(v)
+        if a == b:
+            return False
+        root[a] = b
+    return len(edges) == len(vertices) - 1
+
+
+def brute_force_cluspt(g):
+    """(optimum cost, optimum count, trees) over every (n - 1)-subset of edges."""
+    costs = []
+    for subset in itertools.combinations([(u, v) for u, v, _ in g.edges()], g.n - 1):
+        if not is_tree(subset, range(g.n)):
+            continue
+        if not all(
+            is_tree([(u, v) for u, v in subset if u in c and v in c], c) for c in g.clusters
+        ):
+            continue
+        neighbours = {v: [] for v in range(g.n)}
+        for u, v in subset:
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+        parent = [None] * g.n
+        queue, seen = [g.source], {g.source}
+        for u in queue:
+            for v in neighbours[u]:
+                if v not in seen:
+                    seen.add(v)
+                    parent[v] = u
+                    queue.append(v)
+        costs.append(cluspt.recompute_objective(g, parent))
+    return min(costs), costs.count(min(costs)), len(costs)
+
+
+def test_cluspt_oracle_matches_brute_force_on_random_graphs():
+    # every (n - 1)-edge subset, kept if it is a spanning tree whose clusters
+    # induce subtrees, checked without reachable or the oracle's helpers
+    rng = random.Random(33)
+    for trial in range(200):
+        g = random_clustered_graph(rng, 1 + trial % 7)
+        res = exhaustive_cluspt(g)
+        assert (res.optimum_cost, res.optimum_count, res.enumerated) == brute_force_cluspt(g), (
+            g.adjacency, g.clusters, g.source
+        )
 
 
 def test_cluspt_oracle_refuses_large_instances():
